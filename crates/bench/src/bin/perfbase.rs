@@ -18,8 +18,7 @@
 //! publication-batching ablation (`NC_PUB_QUANTUM` 256 vs 1, with
 //! publish counts), the closed-form flow-control sweep against
 //! bounded-queue DES per grid point (the backpressure-bounds
-//! tentpole), backpressured parallel-engine rows (credit flow
-//! control active), and the stochastic tail-bound ablation (the
+//! tentpole), and the stochastic tail-bound ablation (the
 //! closed-form `tail_bounds_cached` budget ladder against the
 //! 10⁴-replica Monte Carlo quantile estimator it certifies), and the
 //! admission service front (DESIGN.md §16 — the `nc-serve` shard pool
@@ -743,18 +742,9 @@ fn main() {
     println!("perf baseline: stage-parallel engine scaling (host_cpus noted in snapshot)");
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut par_scaling = Vec::new();
-    // The bounded row runs the same workload behind 64 KiB queues:
-    // backpressure crosses worker threads through the credit protocol
-    // (results stay bit-identical across worker counts — prop_par
-    // pins it), so the row tracks the flow-control overhead.
-    for (label, total, cap) in [
-        ("BITW 64 MiB", 64u64 << 20, None),
-        ("BITW 1 GiB", 1 << 30, None),
-        ("BITW 64 MiB bounded", 64 << 20, Some(64u64 << 10)),
-    ] {
+    for (label, total) in [("BITW 64 MiB", 64u64 << 20), ("BITW 1 GiB", 1 << 30)] {
         let mut cfg_par = cfg_thin.clone();
         cfg_par.total_input = total;
-        cfg_par.queue_capacity = cap;
         // Worker counts above the host's cores measure oversubscription,
         // not the engine — skip them (mirrors perfgate.sh / par_scaling).
         let worker_axis: Vec<Option<usize>> = [None, Some(1), Some(2), Some(4)]
@@ -775,7 +765,7 @@ fn main() {
         // `par_fallback`) — the row would then time the wrong engine.
         for w in worker_axis.iter().flatten() {
             cfg_par.workers = Some(*w);
-            if let Some(reason) = par_fallback(&pw, &cfg_par) {
+            if let Some(reason) = par_fallback(&cfg_par) {
                 println!("  note: workers={w} requested but running sequentially: {reason}");
             }
         }

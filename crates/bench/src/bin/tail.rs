@@ -38,7 +38,7 @@ fn main() {
         .filter(|&v| v >= 1)
         .unwrap_or(10_000);
     let out = std::env::var("TAIL_OUT").unwrap_or_else(|_| "tail.csv".into());
-    let workers = nc_bench::nc_threads().unwrap_or(1);
+    let workers = nc_bench::nc_threads().unwrap_or_else(rayon::current_num_threads);
 
     let levels: [(&str, Rat); 3] = [
         ("0.9", rat(1, 10)),

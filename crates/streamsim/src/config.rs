@@ -71,11 +71,10 @@ pub struct SimConfig {
     /// `(seed, stage)`, so its sample paths differ from the sequential
     /// engine's, but results are bit-identical for every worker count
     /// (`workers = Some(1)` ≡ `workers = Some(n)`). Bounded-queue
-    /// configurations run parallel too (backpressure propagates
-    /// through credit messages) as long as every capacity admits a
-    /// job plus the upstream block; `ServiceModel::Deterministic` and
-    /// tighter queues fall back to the sequential engines — see
-    /// `crate::par::par_fallback` for the typed reason.
+    /// configurations (`queue_capacity` or `queue_capacities` set) and
+    /// `ServiceModel::Deterministic` ignore this field and run on the
+    /// sequential engines — see `crate::par::par_fallback` for the
+    /// typed reason.
     #[serde(default)]
     pub workers: Option<usize>,
 }

@@ -166,13 +166,12 @@ pub fn simulate_in(arena: &mut SimArena, pipeline: &Pipeline, config: &SimConfig
         return crate::det::simulate_det(pipeline, config);
     }
     if let Some(w) = config.workers {
-        if crate::par::par_fallback(pipeline, config).is_none() {
+        if crate::par::par_fallback(config).is_none() {
             // Stage-parallel conservative PDES (DESIGN.md §12):
             // bit-identical across worker counts, different sample
             // paths than this engine (per-stage RNG streams). Bounded
-            // queues run here too via credit flow control; only
-            // deadlock-tight capacities fall through to the sequential
-            // path below (see `par::par_fallback`).
+            // queues fall through to the sequential path below (see
+            // `par::par_fallback`).
             return crate::par::simulate_par(pipeline, config, w);
         }
     }

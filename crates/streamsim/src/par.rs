@@ -38,31 +38,17 @@
 //! are RNG-free and match the sequential engine exactly on fault-free
 //! runs.
 //!
-//! **Bounded queues run parallel too (credit flow control).** With
-//! unbounded queues the LP graph is feed-forward: a completed job is
-//! always deliverable, every LP waits only on upstream frontiers. A
-//! bounded queue adds a backward dependency — the producer must not
-//! emit into a full queue — carried by a *credit channel* from the
-//! consumer back to the producer: one [`CreditMsg`] per queue `get`,
-//! merged into the producer's event order like any other input. The
-//! producer tracks a conservative queue view (`down_level` = bytes
-//! sent − credits processed, an over-estimate of the true level), so
-//! gating emissions on it never overfills the queue; a completion that
-//! would overfill parks its output in `pending_out` and the freeing
-//! credit delivers it — exactly the sequential engine's `try_deliver`
-//! at the unblocking event. Deadlock freedom needs every bounded
-//! capacity to admit a job *plus* the upstream block (then a blocked
-//! producer implies a startable consumer); tighter capacities — and
-//! `ServiceModel::Deterministic` — fall back to the sequential engines
-//! with a typed reason (see [`par_fallback`] and
-//! [`crate::engine::simulate_in`]). Two tie-break rules keep the
-//! cyclic graph live: credits order *after* same-time completions and
-//! arrivals (so zero-lookahead promise cycles still admit the events
-//! that generate the next credit), and everything a credit *causes* —
-//! a resumed emission, a parked delivery, the restart it enables — is
-//! stamped one ULP after it (`f64::next_up`, the causal bump), so a
-//! buffered credit is admissible even when an upstream frontier ties
-//! its timestamp (see [`Class`]).
+//! **Scope.** Queues must be unbounded (the paper's default): with no
+//! backpressure a completed job is always deliverable, so the LP graph
+//! stays feed-forward — which is also the deadlock-freedom argument:
+//! every LP waits only on upstream frontiers, and the source never
+//! waits on anything but wall-clock backlog caps, which consumers
+//! drain. A bounded queue adds a consumer→producer dependency that
+//! must cross threads about once per event, so no publication quantum
+//! can amortize it (EXPERIMENTS.md §E-bp-par). Bounded-queue
+//! configurations and `ServiceModel::Deterministic` run on the
+//! sequential engines with a typed reason (see [`par_fallback`] and
+//! [`crate::engine::simulate_in`]).
 //!
 //! **Synchronization cost (DESIGN.md §12 addendum).** All cross-thread
 //! state is touched once per *quantum*, not once per event: an LP polls
@@ -117,18 +103,10 @@ pub enum ParFallback {
     /// integer-tick engine, whose cycle-jump fast-forward beats
     /// parallelism outright.
     Deterministic,
-    /// A bounded queue too tight for credit flow control: deadlock
-    /// freedom needs `cap ≥ job_in + upstream block` (a blocked
-    /// producer then implies a startable consumer).
-    TightQueue {
-        /// Queue index (feeds node `stage`).
-        stage: usize,
-        /// Configured capacity, local bytes.
-        cap: u64,
-        /// Required minimum: the node's job size plus the upstream
-        /// block.
-        need: u64,
-    },
+    /// A bounded queue (`queue_capacity` or `queue_capacities` set):
+    /// backpressure would cross threads about once per event, which
+    /// measured several times slower than the sequential engine.
+    BoundedQueue,
 }
 
 impl std::fmt::Display for ParFallback {
@@ -138,10 +116,9 @@ impl std::fmt::Display for ParFallback {
                 f,
                 "deterministic service: sequential integer-tick engine (cycle-jump fast-forward)"
             ),
-            ParFallback::TightQueue { stage, cap, need } => write!(
+            ParFallback::BoundedQueue => write!(
                 f,
-                "queue {stage} capacity {cap} below job + upstream block {need}: \
-                 credit flow control could deadlock, running sequentially"
+                "bounded queues: sequential engine (per-event backpressure defeats the parallel one)"
             ),
         }
     }
@@ -149,50 +126,19 @@ impl std::fmt::Display for ParFallback {
 
 /// Why this configuration will not run on the parallel engine, or
 /// `None` when `workers` requests are honored by [`simulate_par`].
-///
-/// # Panics
-/// Panics when the pipeline or queue configuration is invalid (the
-/// same conditions under which the engines panic); validate with
-/// [`Pipeline::validate`] and [`SimConfig::validate_queues`] first for
-/// typed errors.
-pub fn par_fallback(pipeline: &Pipeline, config: &SimConfig) -> Option<ParFallback> {
+pub fn par_fallback(config: &SimConfig) -> Option<ParFallback> {
     if config.service_model == ServiceModel::Deterministic {
-        return Some(ParFallback::Deterministic);
+        Some(ParFallback::Deterministic)
+    } else if config.queue_capacity.is_some() || config.queue_capacities.is_some() {
+        Some(ParFallback::BoundedQueue)
+    } else {
+        None
     }
-    let params = derive_params(pipeline);
-    let src_chunk = config.source_chunk.unwrap_or(params[0].job_in).max(1);
-    let caps = crate::engine::queue_caps(config, &params, src_chunk);
-    for (i, cap) in caps.iter().enumerate() {
-        let Some(cap) = *cap else { continue };
-        let block = if i == 0 {
-            src_chunk
-        } else {
-            params[i - 1].job_out
-        };
-        let need = params[i].job_in + block;
-        if cap < need {
-            return Some(ParFallback::TightQueue {
-                stage: i,
-                cap,
-                need,
-            });
-        }
-    }
-    None
 }
 
 /// One source emission: `bytes` enter the first stage's queue at `t`.
 #[derive(Clone, Copy, Debug)]
 struct DataMsg {
-    t: f64,
-    bytes: u64,
-}
-
-/// Bounded-queue space freed: the consumer got `bytes` (its job input)
-/// from the queue at `t`; the producer may reuse that space for
-/// emissions at `t` or later.
-#[derive(Clone, Copy, Debug)]
-struct CreditMsg {
     t: f64,
     bytes: u64,
 }
@@ -275,18 +221,6 @@ struct SourceLp {
     emissions: u64,
     data: LinkTx<DataMsg>,
     steps: LinkTx<StepMsg>,
-    /// First queue's capacity when bounded (source-local bytes).
-    cap: Option<u64>,
-    /// Conservative first-queue view: bytes emitted minus credits
-    /// popped. Popping lazily keeps this an over-estimate of the true
-    /// level, so gating on it never overfills the queue.
-    level: u64,
-    /// Latest credit timestamp a blocked emission had to wait for: the
-    /// emission happens at `max(t_next, t_free)` — the sequential
-    /// engine's inline `resume_source` at the unblocking event.
-    t_free: f64,
-    /// Credits from the first stage (bounded first queue only).
-    credits: Option<LinkRx<CreditMsg>>,
     done: bool,
 }
 
@@ -294,9 +228,6 @@ impl SourceLp {
     fn run(&mut self) -> Run {
         if self.done {
             return Run::Finished;
-        }
-        if let Some(rx) = &mut self.credits {
-            rx.poll();
         }
         let mut progress = false;
         while self.remaining > 0 {
@@ -312,42 +243,7 @@ impl SourceLp {
                 };
             }
             let chunk = self.chunk.min(self.remaining);
-            if let Some(cap) = self.cap {
-                // Pop credits, in timestamp order, until the chunk fits.
-                // Credits are facts (not promises), so no frontier
-                // gating is needed; popping only as required keeps the
-                // decision sequence independent of arrival timing.
-                let rx = self
-                    .credits
-                    .as_mut()
-                    .expect("bounded first queue has credits");
-                while self.level + chunk > cap {
-                    let Some(c) = rx.pop() else {
-                        debug_assert!(!rx.exhausted(), "consumer finished with a full queue");
-                        // Full first queue: park until the consumer
-                        // frees space, promising the earliest possible
-                        // emission so downstream LPs keep draining. A
-                        // credit-freed emission is strictly later than
-                        // the credit (see the causal-bump note on
-                        // [`Class`]), hence the `next_up`.
-                        let promise = self.t_next.max(self.t_free).max(rx.watermark().next_up());
-                        self.data.set_watermark(promise);
-                        self.steps.set_watermark(promise);
-                        self.data.flush();
-                        self.steps.flush();
-                        return if progress {
-                            Run::Progress
-                        } else {
-                            Run::Blocked
-                        };
-                    };
-                    debug_assert!(c.bytes <= self.level, "credited more than emitted");
-                    self.level -= c.bytes;
-                    self.t_free = self.t_free.max(c.t.next_up());
-                }
-                self.level += chunk;
-            }
-            let t = self.t_next.max(self.t_free);
+            let t = self.t_next;
             self.remaining -= chunk;
             self.cum_in += chunk as f64; // norm_in[0] == 1 by construction
             self.data.send(DataMsg { t, bytes: chunk });
@@ -361,22 +257,9 @@ impl SourceLp {
             if self.remaining > 0 {
                 self.t_next = t + self.interval;
                 // The source's lookahead is exact: emissions sit on a
-                // fixed cadence (stretched only by credit waits), so
-                // the next one IS the watermark.
+                // fixed cadence, so the next one IS the watermark.
                 self.data.set_watermark(self.t_next);
                 self.steps.set_watermark(self.t_next);
-                // Drain credits already due (`c.t ≤ t` frees space in
-                // the past, so the emission schedule is unaffected);
-                // bounds the credit channel's memory when the source is
-                // rarely blocked.
-                if let Some(rx) = &mut self.credits {
-                    while rx.front().is_some_and(|c| c.t <= t) {
-                        let c = rx.pop().expect("front checked");
-                        debug_assert!(c.bytes <= self.level, "credited more than emitted");
-                        self.level -= c.bytes;
-                        self.t_free = self.t_free.max(c.t.next_up());
-                    }
-                }
             }
         }
         self.data.close();
@@ -422,27 +305,13 @@ struct SinkState {
 
 /// The event classes an LP merges, in fixed priority order for equal
 /// timestamps (sink bookkeeping before completions before arrivals, so
-/// a delivery at `t` sees every input step and drop at `t`). Credits
-/// order last, and everything a credit *causes* — a resumed source
-/// emission, a parked output's delivery, the restart it enables — is
-/// stamped one ULP after the credit (`f64::next_up`, the "causal
-/// bump"). The two rules together make the merge deadlock-free:
-/// putting the credit frontier at the weakest position lets same-time
-/// completions and arrivals through zero-lookahead promise cycles,
-/// while the bump guarantees any arrival *enabled by* a buffered
-/// credit lies strictly above it, so the credit is admissible even
-/// when an upstream frontier ties its timestamp (without the bump, a
-/// blocked producer holding a credit at `t` and an upstream watermark
-/// equal to `t` would wait forever for an arrival that only its own
-/// credit processing can cause). The bump is also why same-time
-/// credit-vs-arrival processing order never matters: it cannot happen.
+/// a delivery at `t` sees every input step and drop at `t`).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 enum Class {
     Step,
     Drop(usize),
     Completion,
     Arrival,
-    Credit,
 }
 
 struct StageLp {
@@ -456,25 +325,6 @@ struct StageLp {
     out: StageOut,
     /// Drop channel to the sink (Drop-policy stages that are not last).
     drop_tx: Option<LinkTx<DropMsg>>,
-
-    /// Capacity of the downstream inter-stage queue when bounded
-    /// (local bytes of the consumer's input = this stage's output).
-    down_cap: Option<u64>,
-    /// Producer-side view of the downstream queue level: bytes sent
-    /// minus credits processed — an over-estimate between credit
-    /// events, so gating emissions on it never overfills the queue.
-    down_level: u64,
-    /// A finished job waiting for downstream space (backpressure);
-    /// mirrors the sequential engine's `pending_out`. Blocks further
-    /// starts until the freeing credit delivers it.
-    pending_out: Option<u64>,
-    /// Credit messages from the downstream consumer (bounded
-    /// downstream queue only), merged into the event order like any
-    /// other input channel.
-    credits: Option<LinkRx<CreditMsg>>,
-    /// Credit channel to the upstream producer when this stage's own
-    /// input queue is bounded: one message per queue `get`.
-    credit_tx: Option<LinkTx<CreditMsg>>,
 
     /// Upstream pacing bound: messages carry at most `up_block` bytes
     /// and consecutive ones are at least `up_min_gap` apart — the NC
@@ -527,18 +377,13 @@ impl StageLp {
             // (one atomic load), then process everything below the
             // now-frozen frontier with no shared-memory traffic at all.
             self.input.poll();
-            if let Some(rx) = &mut self.credits {
-                rx.poll();
-            }
             if let StageOut::Sink(sink) = &mut self.out {
                 sink.steps.poll();
                 for d in &mut sink.drops {
                     d.poll();
                 }
             }
-            let backlogged = matches!(&self.out, StageOut::Link(tx) if tx.backlogged())
-                || self.credit_tx.as_ref().is_some_and(LinkTx::backlogged);
-            if backlogged {
+            if matches!(&self.out, StageOut::Link(tx) if tx.backlogged()) {
                 self.publish();
                 return if progress {
                     Run::Progress
@@ -572,10 +417,7 @@ impl StageLp {
     /// policy so downstream LPs are never starved.
     fn drain(&mut self) -> Drained {
         match self.out {
-            StageOut::Link(_) if self.credits.is_none() && self.credit_tx.is_none() => {
-                self.drain_mid()
-            }
-            StageOut::Link(_) => self.drain_mid_credit(),
+            StageOut::Link(_) => self.drain_mid(),
             StageOut::Sink(_) => self.drain_last(),
         }
     }
@@ -633,80 +475,6 @@ impl StageLp {
         }
     }
 
-    /// Credit-aware mid-chain merge: [`Self::drain_mid`]'s channels
-    /// plus the downstream credit channel, with the class-aware
-    /// frontier comparison of [`Self::drain_last`]. See [`Class`] for
-    /// why credits order last at equal timestamps.
-    fn drain_mid_credit(&mut self) -> Drained {
-        let mut worked = false;
-        loop {
-            if self.busy_until.is_none() && self.pending_out.is_none() && self.input.exhausted() {
-                // Residual credits only lower `down_level`; with
-                // nothing left to emit, close out without waiting for
-                // them (the consumer closes its credit channel only
-                // after we close the data link).
-                return Drained::Finished;
-            }
-            let mut best: Option<(f64, Class)> = None;
-            let mut bound = (f64::INFINITY, Class::Credit);
-            let mut consider = |t: Option<f64>, frontier: f64, class: Class| match t {
-                Some(t) => {
-                    if best.is_none_or(|b| (t, class) < b) {
-                        best = Some((t, class));
-                    }
-                }
-                None => {
-                    if (frontier, class) < bound {
-                        bound = (frontier, class);
-                    }
-                }
-            };
-            consider(self.busy_until, f64::INFINITY, Class::Completion);
-            consider(
-                self.input.front().map(|m| m.t),
-                self.input.watermark(),
-                Class::Arrival,
-            );
-            if let Some(rx) = &self.credits {
-                consider(rx.front().map(|m| m.t), rx.watermark(), Class::Credit);
-            }
-            let admitted = best.filter(|&b| b < bound);
-            let Some((t, class)) = admitted else {
-                return if worked {
-                    Drained::Worked
-                } else {
-                    Drained::Idle
-                };
-            };
-            debug_assert!(t >= self.now, "LP clock must be monotone");
-            self.now = t;
-            match class {
-                Class::Completion => self.complete(t),
-                Class::Arrival => {
-                    let m = self.input.pop().expect("arrival head");
-                    self.queue.put(Time::secs(t), m.bytes);
-                    self.try_start(t);
-                }
-                Class::Credit => self.credit(t),
-                Class::Step | Class::Drop(_) => unreachable!("sink classes on a mid stage"),
-            }
-            worked = true;
-            self.work += 1;
-            self.events_since_flush += 1;
-            if self.events_since_flush >= self.quantum
-                || self.now - self.last_pub_now >= self.stale_cap
-            {
-                self.publish();
-                let backlogged = matches!(&self.out, StageOut::Link(tx) if tx.backlogged())
-                    || self.credit_tx.as_ref().is_some_and(LinkTx::backlogged);
-                if backlogged {
-                    // Let the caller's synchronization point park us.
-                    return Drained::Worked;
-                }
-            }
-        }
-    }
-
     /// Last-stage merge: the stage's own two channels plus the sink's
     /// bookkeeping channels (source stairstep, upstream drop streams).
     fn drain_last(&mut self) -> Drained {
@@ -719,7 +487,7 @@ impl StageLp {
             // is admitted exactly when it would order before that
             // channel's messages anyway).
             let mut best: Option<(f64, Class)> = None;
-            let mut bound = (f64::INFINITY, Class::Credit);
+            let mut bound = (f64::INFINITY, Class::Arrival);
             let mut consider = |t: Option<f64>, frontier: f64, class: Class| match t {
                 Some(t) => {
                     if best.is_none_or(|b| (t, class) < b) {
@@ -789,7 +557,6 @@ impl StageLp {
                     self.queue.put(Time::secs(t), m.bytes);
                     self.try_start(t);
                 }
-                Class::Credit => unreachable!("the last stage has no downstream queue"),
             }
             worked = true;
             self.work += 1;
@@ -797,9 +564,8 @@ impl StageLp {
             if self.events_since_flush >= self.quantum
                 || self.now - self.last_pub_now >= self.stale_cap
             {
-                // Sink stages have no output link; this resets the
-                // quantum counters and publishes the credit promise of
-                // a bounded input queue (drops are accounted inline).
+                // Sink stages have no output link; this only resets the
+                // quantum counters (drops are accounted inline).
                 self.publish();
             }
         }
@@ -813,9 +579,8 @@ impl StageLp {
     }
 
     /// Completion event (mirrors `engine::World::finish`): retry-policy
-    /// outage check, then the job's output departs — downstream, to the
-    /// sink, or (bounded downstream queue without room) into
-    /// `pending_out` for the freeing credit to deliver.
+    /// outage check, then the job's output departs — always deliverable
+    /// (unbounded queues), either downstream or to the sink.
     fn complete(&mut self, t: f64) {
         self.completions += 1;
         if self.try_retry(t) {
@@ -834,62 +599,11 @@ impl StageLp {
         let bytes = self.p.job_out;
         if matches!(self.out, StageOut::Sink(_)) {
             self.sink_deliver(bytes, t);
-        } else if self
-            .down_cap
-            .is_some_and(|cap| self.down_level + bytes > cap)
-        {
-            // The downstream queue is full (by our conservative view):
-            // hold the output, blocking further starts, exactly like
-            // the sequential engine's pending_out.
-            self.pending_out = Some(bytes);
-        } else {
-            if self.down_cap.is_some() {
-                self.down_level += bytes;
-            }
-            if let StageOut::Link(tx) = &mut self.out {
-                debug_assert!(t >= tx.watermark(), "emission before the published promise");
-                tx.send(DataMsg { t, bytes });
-            }
+        } else if let StageOut::Link(tx) = &mut self.out {
+            debug_assert!(t >= tx.watermark(), "emission before the published promise");
+            tx.send(DataMsg { t, bytes });
         }
         self.try_start(t);
-    }
-
-    /// Credit event: the downstream consumer freed space at `t`.
-    /// Update the conservative queue view and deliver a blocked output
-    /// the moment it fits — the sequential engine's `try_deliver` at
-    /// the unblocking event. The resumed work (delivery, restart, the
-    /// restart's own upstream credit) lands one ULP after the credit
-    /// (the causal bump, see [`Class`]): everything a credit enables
-    /// is strictly later than the credit itself, which is what lets
-    /// the merge admit a buffered credit at a tied frontier.
-    fn credit(&mut self, t: f64) {
-        let m = self
-            .credits
-            .as_mut()
-            .expect("credit event requires a channel")
-            .pop()
-            .expect("credit head");
-        debug_assert!(m.bytes <= self.down_level, "credited more than sent");
-        self.down_level -= m.bytes;
-        let Some(bytes) = self.pending_out else {
-            return;
-        };
-        let cap = self
-            .down_cap
-            .expect("pending output requires a bounded downstream queue");
-        if self.down_level + bytes <= cap {
-            let td = t.next_up();
-            self.down_level += bytes;
-            self.pending_out = None;
-            if let StageOut::Link(tx) = &mut self.out {
-                debug_assert!(
-                    td >= tx.watermark(),
-                    "emission before the published promise"
-                );
-                tx.send(DataMsg { t: td, bytes });
-            }
-            self.try_start(td);
-        }
     }
 
     /// Mirror of `engine::World::try_retry`: a completion strictly
@@ -915,35 +629,18 @@ impl StageLp {
         true
     }
 
-    /// One `queue.get` worth of freed space: tell the upstream
-    /// producer of a bounded input queue (no-op otherwise).
-    fn send_credit(&mut self, t: f64) {
-        if let Some(tx) = &mut self.credit_tx {
-            debug_assert!(t >= tx.watermark(), "credit before the published promise");
-            tx.send(CreditMsg {
-                t,
-                bytes: self.p.job_in,
-            });
-        }
-    }
-
-    /// Mirror of `engine::World::try_start`: the Drop-policy outage
-    /// loop, then start one job if idle, not blocked on downstream
-    /// space, and a full job is queued. Every `get` frees bounded
-    /// input-queue space, so each sends one credit upstream.
+    /// Mirror of `engine::World::try_start` under unbounded queues: the
+    /// Drop-policy outage loop, then start one job if idle and a full
+    /// job is queued.
     fn try_start(&mut self, t: f64) {
         while let Some(fr) = &self.faults {
             if !(fr.drops(self.i) && fr.in_outage(self.i, t)) {
                 break;
             }
-            if self.busy_until.is_some()
-                || self.pending_out.is_some()
-                || !self.queue.can_get(self.p.job_in)
-            {
+            if self.busy_until.is_some() || !self.queue.can_get(self.p.job_in) {
                 break;
             }
             self.queue.get(Time::secs(t), self.p.job_in);
-            self.send_credit(t);
             let dn = self.p.job_in as f64 * self.p.norm_in;
             self.dropped_jobs += 1;
             self.dropped_norm += dn;
@@ -960,14 +657,10 @@ impl StageLp {
                 }
             }
         }
-        if self.busy_until.is_some()
-            || self.pending_out.is_some()
-            || !self.queue.can_get(self.p.job_in)
-        {
+        if self.busy_until.is_some() || !self.queue.can_get(self.p.job_in) {
             return;
         }
         self.queue.get(Time::secs(t), self.p.job_in);
-        self.send_credit(t);
         let startup = if self.started {
             0.0
         } else {
@@ -1024,54 +717,6 @@ impl StageLp {
         }
     }
 
-    /// A sound lower bound on this stage's next `queue.get` — the next
-    /// credit it could send upstream. Busy: no gets before the armed
-    /// completion. Blocked on downstream space: no gets before the
-    /// pending output clears, which takes a credit from *our*
-    /// downstream. Otherwise: the first instant a full job's bytes can
-    /// be present (the [`Self::promise`] walk without the service
-    /// terms — the `get` happens at the enabling arrival itself).
-    fn credit_promise(&self) -> f64 {
-        if let Some(tc) = self.busy_until {
-            return tc;
-        }
-        if self.pending_out.is_some() {
-            // The next `get` happens at the causal bump of the credit
-            // that clears the pending output — strictly after it.
-            let rx = self
-                .credits
-                .as_ref()
-                .expect("pending output requires credits");
-            return rx
-                .front()
-                .map_or(rx.watermark(), |m| m.t)
-                .next_up()
-                .max(self.now);
-        }
-        let have = self.queue.level();
-        if have >= self.p.job_in {
-            return self.now;
-        }
-        let mut need = self.p.job_in - have;
-        let mut covered = None;
-        for m in self.input.buffered() {
-            if m.bytes >= need {
-                covered = Some(m.t);
-                break;
-            }
-            need -= m.bytes;
-        }
-        match covered {
-            Some(t) => t.max(self.now),
-            None if self.input.exhausted() => f64::INFINITY,
-            None => {
-                let w = self.input.watermark().max(self.now);
-                let k = need.div_ceil(self.up_block).max(1);
-                w + (k - 1) as f64 * self.up_min_gap
-            }
-        }
-    }
-
     /// Publish buffered outputs and the current watermark promise.
     fn publish(&mut self) {
         self.events_since_flush = 0;
@@ -1079,13 +724,6 @@ impl StageLp {
         if matches!(self.out, StageOut::Link(_)) {
             let promise = self.promise();
             if let StageOut::Link(tx) = &mut self.out {
-                tx.set_watermark(promise);
-                tx.flush();
-            }
-        }
-        if self.credit_tx.is_some() {
-            let promise = self.credit_promise();
-            if let Some(tx) = &mut self.credit_tx {
                 tx.set_watermark(promise);
                 tx.flush();
             }
@@ -1114,20 +752,6 @@ impl StageLp {
     fn promise(&self) -> f64 {
         if let Some(tc) = self.busy_until {
             return tc;
-        }
-        if self.pending_out.is_some() {
-            // Blocked on the downstream queue: the next emission
-            // happens at the causal bump of a future credit, strictly
-            // after the credit channel's frontier.
-            let rx = self
-                .credits
-                .as_ref()
-                .expect("pending output requires credits");
-            return rx
-                .front()
-                .map_or(rx.watermark(), |m| m.t)
-                .next_up()
-                .max(self.now);
         }
         let have = self.queue.level();
         let t_start = if have >= self.p.job_in {
@@ -1165,9 +789,6 @@ impl StageLp {
             tx.close();
         }
         if let Some(tx) = &mut self.drop_tx {
-            tx.close();
-        }
-        if let Some(tx) = &mut self.credit_tx {
             tx.close();
         }
         self.done = true;
@@ -1224,31 +845,16 @@ impl Lp {
     /// One-line state summary for the stalled-engine panic message.
     fn stall_state(&self) -> String {
         match self {
-            Lp::Source(s) => format!(
-                "source: remaining={} t_next={} t_free={} level={} cap={:?} credits(front={:?} wm={:?})",
-                s.remaining,
-                s.t_next,
-                s.t_free,
-                s.level,
-                s.cap,
-                s.credits.as_ref().and_then(|rx| rx.front().map(|c| c.t)),
-                s.credits.as_ref().map(|rx| rx.watermark()),
-            ),
+            Lp::Source(s) => format!("source: remaining={} t_next={}", s.remaining, s.t_next),
             Lp::Stage(s) => format!(
-                "stage {}: now={} busy={:?} pending={:?} level={} down_level={} down_cap={:?} \
-                 input(front={:?} wm={} exhausted={}) credits(front={:?} wm={:?})",
+                "stage {}: now={} busy={:?} level={} input(front={:?} wm={} exhausted={})",
                 s.i,
                 s.now,
                 s.busy_until,
-                s.pending_out,
                 s.queue.level(),
-                s.down_level,
-                s.down_cap,
                 s.input.front().map(|m| m.t),
                 s.input.watermark(),
                 s.input.exhausted(),
-                s.credits.as_ref().and_then(|rx| rx.front().map(|c| c.t)),
-                s.credits.as_ref().map(|rx| rx.watermark()),
             ),
         }
     }
@@ -1310,20 +916,13 @@ fn run_worker(lps: &mut [Lp], gate: &ProgressGate, solo: bool, warmup: Option<&W
             return;
         }
         if !progress {
-            if solo {
-                // Credit channels make the LP graph cyclic, so a
-                // watermark promise can take several passes to
-                // propagate around a producer↔consumer loop; any
-                // publication bumps the gate, so an advanced
-                // generation means the pass still moved the protocol
-                // even though no event was processed. Only a pass
-                // that changed *nothing* is a protocol bug.
-                assert!(gate.generation() != seen, "parallel engine stalled:\n{}", {
-                    let dump: Vec<String> = lps.iter().map(Lp::stall_state).collect();
-                    dump.join("\n")
-                });
-                continue;
-            }
+            // A solo worker runs the feed-forward LP chain in order, so
+            // every publication reaches its consumers within the pass:
+            // a pass that processed nothing will never process anything.
+            assert!(!solo, "parallel engine stalled:\n{}", {
+                let dump: Vec<String> = lps.iter().map(Lp::stall_state).collect();
+                dump.join("\n")
+            });
             gate.wait_past(seen);
         }
     }
@@ -1372,12 +971,10 @@ fn run_shards(shards: Vec<Vec<Lp>>, gate: &ProgressGate, warmup: Option<&Warmup>
 }
 
 /// Stage-parallel simulation. Semantically mirrors
-/// [`crate::engine::simulate_in`] for stochastic configurations
-/// (bounded queues included, via credit flow control); results are
-/// bit-identical across `workers` values.
+/// [`crate::engine::simulate_in`] for unbounded-queue stochastic
+/// configurations; results are bit-identical across `workers` values.
 pub(crate) fn simulate_par(pipeline: &Pipeline, config: &SimConfig, workers: usize) -> SimResult {
-    debug_assert!(par_fallback(pipeline, config).is_none());
-    debug_assert_ne!(config.service_model, ServiceModel::Deterministic);
+    debug_assert!(par_fallback(config).is_none());
     pipeline
         .validate()
         .unwrap_or_else(|e| panic!("simulate: invalid pipeline: {e}"));
@@ -1457,28 +1054,6 @@ pub(crate) fn simulate_par(pipeline: &Pipeline, config: &SimConfig, workers: usi
         }
     }
 
-    // Credit channels for bounded queues: the consumer of queue `i`
-    // sends, the producer (the source for queue 0) receives and gates
-    // its emissions.
-    let caps = crate::engine::queue_caps(config, &params, src_chunk);
-    let mut credit_txs: Vec<Option<LinkTx<CreditMsg>>> = Vec::with_capacity(n);
-    let mut credit_rxs: Vec<Option<LinkRx<CreditMsg>>> = (0..n).map(|_| None).collect();
-    let mut src_credit_rx: Option<LinkRx<CreditMsg>> = None;
-    for (i, cap) in caps.iter().enumerate() {
-        if cap.is_some() {
-            let (mut tx, rx) = link::<CreditMsg>(LINK_CAP, &gate);
-            tx.set_batch(quantum as usize);
-            credit_txs.push(Some(tx));
-            if i == 0 {
-                src_credit_rx = Some(rx);
-            } else {
-                credit_rxs[i - 1] = Some(rx);
-            }
-        } else {
-            credit_txs.push(None);
-        }
-    }
-
     let src_interval = src_chunk as f64 / src_rate;
     let mut lps: Vec<Lp> = Vec::with_capacity(n + 1);
     lps.push(Lp::Source(Box::new(SourceLp {
@@ -1491,16 +1066,10 @@ pub(crate) fn simulate_par(pipeline: &Pipeline, config: &SimConfig, workers: usi
         emissions: 0,
         data: src_data_tx,
         steps: steps_tx,
-        cap: caps[0],
-        level: 0,
-        t_free: 0.0,
-        credits: src_credit_rx,
         done: false,
     })));
     let mut steps_rx = Some(steps_rx);
     let mut drop_rxs = Some(drop_rxs);
-    let mut credit_rxs = credit_rxs.into_iter();
-    let mut credit_txs = credit_txs.into_iter();
     for (i, (input, (out_tx, drop_tx))) in inputs
         .into_iter()
         .zip(out_txs.into_iter().zip(drop_txs))
@@ -1548,11 +1117,6 @@ pub(crate) fn simulate_par(pipeline: &Pipeline, config: &SimConfig, workers: usi
             input,
             out,
             drop_tx,
-            down_cap: if i + 1 < n { caps[i + 1] } else { None },
-            down_level: 0,
-            pending_out: None,
-            credits: credit_rxs.next().expect("one slot per stage"),
-            credit_tx: credit_txs.next().expect("one slot per stage"),
             up_block,
             up_min_gap,
             exec_floor,

@@ -5,12 +5,14 @@
 //! fault-free runs (same jobs, same bytes, different sample paths), and
 //! fault-transparent (a zero-fault schedule changes nothing; an open
 //! fault window is never jumped — enforced by debug assertions that
-//! these runs exercise).
+//! these runs exercise). Bounded-queue configurations never reach it:
+//! they run on the sequential engine whatever `workers` asks for.
 
 use nc_core::num::Rat;
 use nc_core::pipeline::{Node, NodeKind, Pipeline, Source, StageRates};
 use nc_streamsim::{
-    simulate, FaultSchedule, Outage, RecoveryPolicy, ServiceModel, SimConfig, StageFault, StallSpec,
+    par_fallback, simulate, FaultSchedule, Outage, ParFallback, RecoveryPolicy, ServiceModel,
+    SimConfig, StageFault, StallSpec,
 };
 use proptest::prelude::*;
 
@@ -32,9 +34,9 @@ struct GenCase {
 
 /// Random 1–4 node pipelines with power-of-two job sizes and totals
 /// that may end in a partial chunk. Queues are unbounded here; the
-/// bounded-queue (credit flow control) regime is covered by pairing
-/// these cases with [`bounded_caps`]. Rates are free, so cases span
-/// underloaded and overloaded pipelines.
+/// bounded-queue fallback is covered by pairing these cases with
+/// [`bounded_caps`]. Rates are free, so cases span underloaded and
+/// overloaded pipelines.
 fn arb_case() -> impl Strategy<Value = GenCase> {
     let node = (500i64..20_000, 0i64..5_000, 4u32..8, 4u32..8, 0i64..20).prop_map(
         |(rmin, spread, ji, jo, lat)| GenNode {
@@ -144,12 +146,11 @@ fn arb_faulted_case() -> impl Strategy<Value = (GenCase, FaultSchedule)> {
         })
 }
 
-/// Minimal deadlock-free queue capacities for a case, scaled by
-/// `mult`. The parallel engine requires every bounded queue to hold
-/// one consumer job plus one producer emission (`cap >= job_in +
-/// block`, its deadlock-freedom precondition — see
-/// [`nc_streamsim::ParFallback::TightQueue`]); `mult = 1` pins the
-/// tightest admissible capacities, larger values cover roomier ones.
+/// Valid queue capacities for a case, scaled by `mult`: every bounded
+/// queue holds one consumer job plus one producer emission (`cap >=
+/// job_in + block`, above the `max(job_in, block)` floor of
+/// [`SimConfig::validate_queues`]). `mult = 1` pins the tightest such
+/// capacities; larger values cover roomier queues.
 fn bounded_caps(case: &GenCase, mult: u64) -> Vec<u64> {
     let nodes = &case.pipeline.nodes;
     (0..nodes.len())
@@ -239,58 +240,23 @@ proptest! {
         prop_assert_eq!(plain, scheduled);
     }
 
-    /// Worker-count invariance with *bounded* queues: credit messages
-    /// flow upstream on their own links, but each producer's
-    /// conservative view of its downstream level (`down_level`) and
-    /// the park-then-deliver blocking protocol are functions of the
-    /// message streams alone, so the thread partition still cannot
-    /// change any bit. Tight capacities (`mult = 1`) force constant
-    /// backpressure; roomier ones exercise the mixed regime.
+    /// Bounded queues always run on the sequential engine: whatever
+    /// `workers` asks for, [`par_fallback`] reports `BoundedQueue` and
+    /// the result equals the `workers: None` run bit for bit.
     #[test]
-    fn par_bounded_is_bitwise_invariant_across_worker_counts(
+    fn par_bounded_falls_back_to_sequential_engine(
         case in arb_case(),
         seed in 0u64..10_000,
         model in prop_oneof![Just(ServiceModel::Uniform), Just(ServiceModel::Exponential)],
-        workers in 2usize..6,
+        workers in 1usize..6,
         mult in 1u64..4,
     ) {
-        let caps = bounded_caps(&case, mult);
-        let mut c1 = cfg(&case, seed, model, Some(1));
-        c1.queue_capacities = Some(caps.clone());
-        let mut cn = cfg(&case, seed, model, Some(workers));
-        cn.queue_capacities = Some(caps);
-        let solo = simulate(&case.pipeline, &c1);
-        let par = simulate(&case.pipeline, &cn);
-        prop_assert_eq!(solo, par);
-    }
-
-    /// Bounded-queue volume conservation against the sequential
-    /// blocking engine: backpressure changes *when* data moves, never
-    /// how much. Source emissions, per-node job counts and input
-    /// bytes, output bytes and the residual levels left in the queues
-    /// are all sample-path independent and must match exactly.
-    #[test]
-    fn par_bounded_volumes_match_sequential_engine(
-        case in arb_case(),
-        seed in 0u64..10_000,
-        model in prop_oneof![Just(ServiceModel::Uniform), Just(ServiceModel::Exponential)],
-        mult in 1u64..4,
-    ) {
-        let caps = bounded_caps(&case, mult);
-        let mut cs = cfg(&case, seed, model, None);
-        cs.queue_capacities = Some(caps.clone());
-        let mut cp = cfg(&case, seed, model, Some(2));
-        cp.queue_capacities = Some(caps);
-        let seq = simulate(&case.pipeline, &cs);
-        let par = simulate(&case.pipeline, &cp);
-        prop_assert_eq!(seq.events, par.events);
-        prop_assert_eq!(seq.bytes_out, par.bytes_out);
-        prop_assert_eq!(seq.residual, par.residual);
-        for (s, p) in seq.per_node.iter().zip(&par.per_node) {
-            prop_assert_eq!(&s.name, &p.name);
-            prop_assert_eq!(s.jobs, p.jobs);
-            prop_assert_eq!(s.bytes_in, p.bytes_in);
-        }
+        let mut seq = cfg(&case, seed, model, None);
+        seq.queue_capacities = Some(bounded_caps(&case, mult));
+        let mut par = seq.clone();
+        par.workers = Some(workers);
+        prop_assert_eq!(par_fallback(&par), Some(ParFallback::BoundedQueue));
+        prop_assert_eq!(simulate(&case.pipeline, &seq), simulate(&case.pipeline, &par));
     }
 
     /// Fault-free volume conservation against the sequential thinned

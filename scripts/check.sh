@@ -10,9 +10,9 @@ cargo fmt --all --check
 echo "==> cargo clippy (deny warnings: whole workspace)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> tier-1: cargo build --release && cargo test -q"
+echo "==> tier-1: cargo build --release && cargo test -q --workspace"
 cargo build --release
-cargo test -q
+cargo test -q --workspace
 
 echo "==> criterion smoke: curve_ops + des_calendar + par_scaling + admission in test mode"
 cargo bench -p nc-bench --bench curve_ops -- --test
