@@ -2,30 +2,16 @@
 //! fleet: the seeded request trace from `nc-workloads` replayed
 //! through the incremental `nc-admit` engine.
 //!
-//! Tenants are sharded over the `NC_THREADS` pool (decisions are
+//! Tenants are sharded over `NC_THREADS` workers (decisions are
 //! independent across tenants), rows are merged by the trace's global
 //! sequence number, and the resulting `results/admission.csv` is
 //! byte-identical for every worker count — `check.sh` asserts this.
 //!
 //! `ADMIT_FLEET=t` / `ADMIT_REQS=n` size the trace (default 32×250).
 
-use rayon::prelude::*;
 use std::time::Instant;
 
-use nc_bench::admitload;
-
-fn env_size(name: &str, default: usize) -> usize {
-    match std::env::var(name) {
-        Ok(s) => match s.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("{name} must be a positive integer; using {default}");
-                default
-            }
-        },
-        Err(_) => default,
-    }
-}
+use nc_bench::{admitload, env_size};
 
 fn main() {
     let tenants = env_size("ADMIT_FLEET", 32);
@@ -33,16 +19,15 @@ fn main() {
     let cfg = admitload::request_config(11, tenants, per_tenant);
     let trace = nc_workloads::requests::generate(&cfg);
 
-    let workers = nc_bench::nc_threads().unwrap_or_else(rayon::current_num_threads);
+    let workers = nc_sweep::workers();
     let shards = admitload::shard_tenants(tenants, workers);
     let t0 = Instant::now();
-    let per_shard: Vec<_> = nc_bench::with_nc_threads(|| {
-        shards
-            .clone()
-            .into_par_iter()
-            .map(|shard| admitload::replay_shard(&cfg, &trace, &shard))
-            .collect()
-    });
+    let (per_shard, _) = nc_sweep::stripe(
+        &shards,
+        workers,
+        || (),
+        |(), shard| admitload::replay_shard(&cfg, &trace, shard),
+    );
     let dt = t0.elapsed();
 
     let mut rows = Vec::with_capacity(trace.len());

@@ -14,7 +14,7 @@ use nc_bench::fleet;
 
 fn main() {
     let cfg = fleet::FleetConfig::from_env();
-    let workers = nc_bench::nc_threads().unwrap_or_else(rayon::current_num_threads);
+    let workers = nc_sweep::workers();
 
     let t0 = Instant::now();
     let rows = fleet::run_striped(&cfg, workers);

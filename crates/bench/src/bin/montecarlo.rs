@@ -1,5 +1,5 @@
 //! Monte-Carlo replication of the paper's simulations: run both
-//! applications over many seeds in parallel (rayon) and report
+//! applications over many seeds on `NC_THREADS` workers and report
 //! mean ± spread for every simulated quantity, demonstrating that the
 //! single-seed numbers in Tables 1/3 are representative. Also runs the
 //! service-model ablation (uniform vs exponential vs deterministic
@@ -9,7 +9,6 @@
 
 use nc_apps::{bitw, blast};
 use nc_streamsim::{simulate_in, Quantiles, ServiceModel, SimArena, SimResult};
-use rayon::prelude::*;
 use serde::Serialize;
 
 const MIB: f64 = 1048576.0;
@@ -86,27 +85,35 @@ fn fmt(s: &Summary, unit: &str, scale: f64) -> String {
     )
 }
 
+/// Run `sim` for seeds `0..seeds` over `workers` threads, results in
+/// seed order. Each worker keeps one SimArena, so replications after
+/// its first reuse the grown event calendar instead of reallocating.
+fn per_seed<O: Send>(
+    seeds: u64,
+    workers: usize,
+    sim: impl Fn(&mut SimArena, u64) -> O + Sync,
+) -> Vec<O> {
+    let seeds: Vec<u64> = (0..seeds).collect();
+    let (runs, _) = nc_sweep::stripe(&seeds, workers, SimArena::new, |arena, &s| sim(arena, s));
+    runs
+}
+
 /// Build the full replication artifact for a given replication count.
 /// Everything emitted is a pure function of `seeds` (and `scale_rows`):
-/// rayon's `collect` preserves input order, and every reduction is over
-/// that ordered vector — so the output is byte-identical run-to-run for
-/// any thread count. Wall-clock timings go to stdout only, never into
-/// the returned artifact.
-fn replicate(seeds: u64, scale_rows: bool) -> (String, Vec<Summary>) {
+/// [`per_seed`] returns results in seed order, and every reduction is
+/// over that ordered vector — so the output is byte-identical
+/// run-to-run for any `workers`. Wall-clock timings go to stdout only,
+/// never into the returned artifact.
+fn replicate(seeds: u64, scale_rows: bool, workers: usize) -> (String, Vec<Summary>) {
     let mut out = String::from("Monte-Carlo replication (parallel over seeds)\n\n");
     let mut all: Vec<Summary> = Vec::new();
 
     // --- BLAST (shorter runs than the headline config for 32x). ---
-    // Each worker thread keeps one SimArena, so replications after the
-    // first reuse the grown event calendar instead of reallocating.
-    let blast_runs: Vec<SimResult> = (0..seeds)
-        .into_par_iter()
-        .map_init(SimArena::new, |arena, seed| {
-            let mut cfg = blast::sim_config(seed);
-            cfg.total_input = 256 << 20;
-            simulate_in(arena, &blast::deployed_pipeline(), &cfg)
-        })
-        .collect();
+    let blast_runs: Vec<SimResult> = per_seed(seeds, workers, |arena, seed| {
+        let mut cfg = blast::sim_config(seed);
+        cfg.total_input = 256 << 20;
+        simulate_in(arena, &blast::deployed_pipeline(), &cfg)
+    });
     let thr: Vec<f64> = blast_runs.iter().map(|r| r.throughput / MIB).collect();
     let dmax: Vec<f64> = blast_runs.iter().map(|r| r.delay_max * 1e3).collect();
     let backlog: Vec<f64> = blast_runs.iter().map(|r| r.peak_backlog / MIB).collect();
@@ -124,19 +131,16 @@ fn replicate(seeds: u64, scale_rows: bool) -> (String, Vec<Summary>) {
     all.push(s);
 
     // --- Bump in the wire. ---
-    let bitw_runs: Vec<(SimResult, SimResult)> = (0..seeds)
-        .into_par_iter()
-        .map_init(SimArena::new, |arena, seed| {
-            (
-                simulate_in(arena, &bitw::sim_pipeline(), &bitw::sim_config(seed)),
-                simulate_in(
-                    arena,
-                    &bitw::light_pipeline(),
-                    &bitw::sim_config(seed ^ 0xABCD),
-                ),
-            )
-        })
-        .collect();
+    let bitw_runs: Vec<(SimResult, SimResult)> = per_seed(seeds, workers, |arena, seed| {
+        (
+            simulate_in(arena, &bitw::sim_pipeline(), &bitw::sim_config(seed)),
+            simulate_in(
+                arena,
+                &bitw::light_pipeline(),
+                &bitw::sim_config(seed ^ 0xABCD),
+            ),
+        )
+    });
     let thr: Vec<f64> = bitw_runs.iter().map(|(r, _)| r.throughput / MIB).collect();
     let dmax: Vec<f64> = bitw_runs.iter().map(|(_, l)| l.delay_max * 1e6).collect();
     let s = summarize("BITW sim throughput (paper 61 MiB/s)", &thr);
@@ -156,14 +160,11 @@ fn replicate(seeds: u64, scale_rows: bool) -> (String, Vec<Summary>) {
         ServiceModel::Uniform,
         ServiceModel::Exponential,
     ] {
-        let runs: Vec<SimResult> = (0..ablation_seeds)
-            .into_par_iter()
-            .map_init(SimArena::new, |arena, seed| {
-                let mut cfg = bitw::sim_config(seed);
-                cfg.service_model = model;
-                simulate_in(arena, &bitw::light_pipeline(), &cfg)
-            })
-            .collect();
+        let runs: Vec<SimResult> = per_seed(ablation_seeds, workers, |arena, seed| {
+            let mut cfg = bitw::sim_config(seed);
+            cfg.service_model = model;
+            simulate_in(arena, &bitw::light_pipeline(), &cfg)
+        });
         let dm: Vec<f64> = runs.iter().map(|r| r.delay_max * 1e6).collect();
         let s = summarize(&format!("{model:?} service, max delay"), &dm);
         out.push_str(&fmt(&s, "us", 1.0));
@@ -185,15 +186,12 @@ fn replicate(seeds: u64, scale_rows: bool) -> (String, Vec<Summary>) {
         return (out, all);
     }
     out.push_str("\nscale replication (trace off):\n");
-    let bitw_1g: Vec<SimResult> = (0..4u64)
-        .into_par_iter()
-        .map_init(SimArena::new, |arena, seed| {
-            let mut cfg = bitw::sim_config(seed);
-            cfg.trace = false;
-            cfg.total_input = 1 << 30;
-            simulate_in(arena, &bitw::sim_pipeline(), &cfg)
-        })
-        .collect();
+    let bitw_1g: Vec<SimResult> = per_seed(4, workers, |arena, seed| {
+        let mut cfg = bitw::sim_config(seed);
+        cfg.trace = false;
+        cfg.total_input = 1 << 30;
+        simulate_in(arena, &bitw::sim_pipeline(), &cfg)
+    });
     let thr: Vec<f64> = bitw_1g.iter().map(|r| r.throughput / MIB).collect();
     let s = summarize("BITW 1 GiB sim throughput", &thr);
     out.push_str(&fmt(&s, "MiB/s", 1.0));
@@ -234,7 +232,7 @@ fn main() {
     // NC_THREADS pins the replication fan-out width; `replicate` is a
     // pure function of the seed count, so the artifacts are
     // byte-identical for every worker count.
-    let (out, all) = nc_bench::with_nc_threads(|| replicate(SEEDS, true));
+    let (out, all) = replicate(SEEDS, true, nc_sweep::workers());
     nc_bench::emit("montecarlo.txt", &out);
     nc_bench::emit_json("montecarlo.json", &all);
 }
@@ -244,42 +242,35 @@ mod tests {
     use super::{replicate, summarize};
 
     /// The determinism contract behind the md5-compared artifact: the
-    /// same replication count on the same ambient rayon pool produces
-    /// byte-identical text and JSON, twice in a row.
+    /// same replication count at the same width produces byte-identical
+    /// text and JSON, twice in a row.
     #[test]
     fn replication_artifact_is_byte_deterministic() {
-        let (out1, all1) = replicate(3, false);
-        let (out2, all2) = replicate(3, false);
+        let (out1, all1) = replicate(3, false, 2);
+        let (out2, all2) = replicate(3, false, 2);
         assert_eq!(out1, out2);
         let j1 = serde_json::to_string_pretty(&all1).unwrap();
         let j2 = serde_json::to_string_pretty(&all2).unwrap();
         assert_eq!(j1, j2);
     }
 
-    /// The per-summary quantile columns are part of the byte-compared
-    /// artifact, so they must be identical for every worker count, not
-    /// just for every rerun on one pool. Pin explicit rayon pools of
-    /// 1, 2 and 4 threads (the NC_THREADS widths the CI gate exercises)
-    /// and compare the quantile outputs sample-for-sample.
+    /// The whole artifact — the text and the JSON summaries, quantile
+    /// columns included — must be identical for every worker count, not
+    /// just for every rerun at one width: compare 1, 2 and 4 workers
+    /// (the NC_THREADS widths the CI gate exercises) byte for byte.
     #[test]
-    fn quantiles_are_identical_across_worker_counts() {
-        let reference: Vec<(f64, f64, f64)> = replicate(3, false)
-            .1
-            .iter()
-            .map(|s| (s.p50, s.p99, s.p999))
-            .collect();
-        for workers in [1usize, 2, 4] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(workers)
-                .build()
-                .unwrap();
-            let got: Vec<(f64, f64, f64)> = pool
-                .install(|| replicate(3, false))
-                .1
-                .iter()
-                .map(|s| (s.p50, s.p99, s.p999))
-                .collect();
-            assert_eq!(got, reference, "quantiles diverged at {workers} workers");
+    fn artifact_is_identical_across_worker_counts() {
+        let render = |workers| {
+            let (out, all) = replicate(3, false, workers);
+            (out, serde_json::to_string_pretty(&all).unwrap())
+        };
+        let reference = render(1);
+        for workers in [2usize, 4] {
+            assert_eq!(
+                render(workers),
+                reference,
+                "artifact diverged at {workers} workers"
+            );
         }
     }
 

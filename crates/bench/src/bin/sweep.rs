@@ -29,7 +29,7 @@ fn main() {
     let t0 = Instant::now();
     // NC_THREADS pins the fan-out width; the surface (and hence the
     // CSV) is byte-identical for every worker count.
-    let surface = nc_bench::with_nc_threads(|| nc_sweep::run(&spec));
+    let surface = nc_sweep::run(&spec);
     let dt = t0.elapsed();
     nc_bench::emit("sweep_bitw.csv", &surface.to_csv());
     let s = surface.stats;

@@ -17,7 +17,7 @@
 
 use std::time::Instant;
 
-use nc_bench::tailload;
+use nc_bench::{env_size, tailload};
 use nc_core::num::{rat, Rat, Value};
 use nc_core::pipeline::ModelCache;
 use nc_streamsim::Quantiles;
@@ -32,13 +32,9 @@ fn finite(v: Value, what: &str, scenario: &str, eps: Rat) -> f64 {
 }
 
 fn main() {
-    let replicas: u64 = std::env::var("TAIL_REPLICAS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&v| v >= 1)
-        .unwrap_or(10_000);
+    let replicas = env_size("TAIL_REPLICAS", 10_000) as u64;
     let out = std::env::var("TAIL_OUT").unwrap_or_else(|_| "tail.csv".into());
-    let workers = nc_bench::nc_threads().unwrap_or_else(rayon::current_num_threads);
+    let workers = nc_sweep::workers();
 
     let levels: [(&str, Rat); 3] = [
         ("0.9", rat(1, 10)),

@@ -89,36 +89,21 @@ pub fn bitw_sweep_spec(nx: usize, ny: usize) -> nc_sweep::SweepSpec {
     }
 }
 
-/// The `NC_THREADS` worker-count override, if set and valid.
-///
-/// One knob routes every data-parallel harness path (the Monte-Carlo
-/// replication and the sweep fan-out): unset means the ambient rayon
-/// pool (one worker per core), `NC_THREADS=n` pins the pool to `n`
-/// workers. All artifact emitters are order-preserving reductions, so
-/// the outputs are byte-identical for every value of the knob — the
-/// `check.sh` smoke lane asserts this on the sweep CSV.
-pub fn nc_threads() -> Option<usize> {
-    let s = std::env::var("NC_THREADS").ok()?;
-    match s.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Some(n),
-        _ => {
-            eprintln!("NC_THREADS must be a positive integer; using the ambient pool");
-            None
-        }
-    }
+/// A positive-integer size from the environment variable `name`, or
+/// `default` when it is unset. A malformed or zero value warns on
+/// stderr and falls back to `default`.
+pub fn env_size(name: &str, default: usize) -> usize {
+    parse_size(name, std::env::var(name).ok().as_deref(), default)
 }
 
-/// Run `f` under the [`nc_threads`] worker-count policy: inside a
-/// dedicated rayon pool of `NC_THREADS` workers when the knob is set,
-/// on the ambient pool otherwise.
-pub fn with_nc_threads<T: Send>(f: impl FnOnce() -> T + Send) -> T {
-    match nc_threads() {
-        Some(n) => rayon::ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build()
-            .expect("build NC_THREADS rayon pool")
-            .install(f),
-        None => f(),
+fn parse_size(name: &str, value: Option<&str>, default: usize) -> usize {
+    match value.map(|s| s.trim().parse::<usize>()) {
+        None => default,
+        Some(Ok(n)) if n >= 1 => n,
+        Some(_) => {
+            eprintln!("{name} must be a positive integer; using {default}");
+            default
+        }
     }
 }
 
@@ -158,7 +143,7 @@ pub mod admitload {
     //! The fleet builders and the decision-row codec are canonical in
     //! `nc-serve` (the networked front replays the identical workload
     //! over its wire protocol); this module re-exports them and keeps
-    //! the rayon-sharded in-proc replay used by the `admit` bin, the
+    //! the sharded in-proc replay used by the `admit` bin, the
     //! `admission` criterion bench, and the `perfbase` throughput row.
     //! Decisions are independent across tenants (each tenant has its
     //! own path state; the model cache is only consulted at
@@ -246,15 +231,22 @@ pub mod admitload {
         tenant_ixs: &[usize],
     ) -> (Vec<DecisionRow>, nc_admit::EngineStats) {
         let mut shard = build_shard(config, tenant_ixs);
-        let mut rows = Vec::new();
+        // One pass buckets the trace by tenant, in trace order.
+        let mut slot = vec![None; tenant_ixs.iter().max().map_or(0, |&ix| ix + 1)];
+        for (k, &ix) in tenant_ixs.iter().enumerate() {
+            slot[ix].get_or_insert(k);
+        }
+        let mut buckets: Vec<Vec<Request>> = vec![Vec::new(); tenant_ixs.len()];
+        for r in trace {
+            if let Some(&Some(k)) = slot.get(r.tenant as usize) {
+                buckets[k].push(*r);
+            }
+        }
+        let mut rows = Vec::with_capacity(buckets.iter().map(Vec::len).sum());
         let pairs: Vec<(usize, TenantId)> = shard.tenants.clone();
         for (ix, tid) in pairs {
-            let reqs: Vec<Request> = trace
-                .iter()
-                .filter(|r| r.tenant as usize == ix)
-                .copied()
-                .collect();
-            rows.extend(replay_tenant(&mut shard, tid, &reqs));
+            let k = slot[ix].expect("shard tenants come from tenant_ixs");
+            rows.extend(replay_tenant(&mut shard, tid, &buckets[k]));
         }
         (rows, shard.engine.stats())
     }
@@ -346,16 +338,18 @@ pub mod fleet {
     //! pipelines batch-simulated across `NC_THREADS` OS workers.
     //!
     //! The fleet loop is embarrassingly parallel — each tenant's run
-    //! depends only on its own seed — so tenants are striped
-    //! round-robin over the workers, each worker owns one pooled
+    //! depends only on its own seed — so [`nc_sweep::stripe`] hands each
+    //! worker a contiguous run of tenants, each worker owns one pooled
     //! [`SimArena`] (allocations amortize within a stripe exactly as
-    //! they do in the serial loop), and the per-tenant rows are merged
-    //! back in tenant order. The merged CSV is therefore **byte
-    //! identical for any `NC_THREADS`**, which `scripts/check.sh`
-    //! asserts; wall time is the only thing the worker count changes.
+    //! they do in the serial loop), and the per-tenant rows come back
+    //! in tenant order. The merged CSV is therefore **byte identical
+    //! for any `NC_THREADS`**, which `scripts/check.sh` asserts; wall
+    //! time is the only thing the worker count changes.
 
     use nc_apps::bitw;
     use nc_streamsim::{simulate_in, SimArena, SimResult};
+
+    use crate::env_size;
 
     /// Fleet shape, from the environment: `FLEET_TENANTS` (default
     /// 1000) seeded tenants pushing `FLEET_INPUT_KIB` (default 256)
@@ -371,16 +365,9 @@ pub mod fleet {
     impl FleetConfig {
         /// Read the fleet shape from `FLEET_TENANTS`/`FLEET_INPUT_KIB`.
         pub fn from_env() -> Self {
-            let get = |k: &str, default: u64| {
-                std::env::var(k)
-                    .ok()
-                    .and_then(|s| s.trim().parse::<u64>().ok())
-                    .filter(|&v| v >= 1)
-                    .unwrap_or(default)
-            };
             FleetConfig {
-                tenants: get("FLEET_TENANTS", 1000),
-                input_bytes: get("FLEET_INPUT_KIB", 256) << 10,
+                tenants: env_size("FLEET_TENANTS", 1000) as u64,
+                input_bytes: (env_size("FLEET_INPUT_KIB", 256) as u64) << 10,
             }
         }
     }
@@ -436,55 +423,17 @@ pub mod fleet {
         }
     }
 
-    /// Simulate one stripe of tenants through one pooled arena.
-    pub fn replay_stripe(
-        cfg: &FleetConfig,
-        tenants: &[u64],
-        arena: &mut SimArena,
-    ) -> Vec<TenantRow> {
-        let pipeline = bitw::sim_pipeline();
-        tenants
-            .iter()
-            .map(|&tenant| {
-                let mut c = bitw::sim_config(tenant + 1);
-                c.trace = false;
-                c.total_input = cfg.input_bytes;
-                TenantRow::from_result(tenant, &simulate_in(arena, &pipeline, &c))
-            })
-            .collect()
-    }
-
     /// Run the whole fleet striped over `workers` OS threads (one
-    /// arena per worker) and merge the rows back in tenant order.
+    /// arena per worker), rows in tenant order.
     pub fn run_striped(cfg: &FleetConfig, workers: usize) -> Vec<TenantRow> {
-        let workers = workers.clamp(1, cfg.tenants.max(1) as usize);
-        if workers == 1 {
-            let mut arena = SimArena::default();
-            return replay_stripe(cfg, &(0..cfg.tenants).collect::<Vec<_>>(), &mut arena);
-        }
-        let stripes: Vec<Vec<u64>> = {
-            let mut s = vec![Vec::new(); workers];
-            for t in 0..cfg.tenants {
-                s[(t % workers as u64) as usize].push(t);
-            }
-            s
-        };
-        let mut rows: Vec<TenantRow> = std::thread::scope(|scope| {
-            let handles: Vec<_> = stripes
-                .iter()
-                .map(|stripe| {
-                    scope.spawn(move || {
-                        let mut arena = SimArena::default();
-                        replay_stripe(cfg, stripe, &mut arena)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("fleet worker panicked"))
-                .collect()
+        let pipeline = bitw::sim_pipeline();
+        let tenants: Vec<u64> = (0..cfg.tenants).collect();
+        let (rows, _) = nc_sweep::stripe(&tenants, workers, SimArena::default, |arena, &tenant| {
+            let mut c = bitw::sim_config(tenant + 1);
+            c.trace = false;
+            c.total_input = cfg.input_bytes;
+            TenantRow::from_result(tenant, &simulate_in(arena, &pipeline, &c))
         });
-        rows.sort_by_key(|r| r.tenant);
         rows
     }
 
@@ -538,10 +487,10 @@ pub mod tailload {
     //! periodic stalls) are never cleared — they are the `None` rows of
     //! the [`StochSpec`], kept deterministic by the analysis too.
     //!
-    //! Replicas are striped round-robin over `NC_THREADS` OS workers
-    //! exactly like [`super::fleet`] (one pooled [`SimArena`] per
-    //! worker, rows merged back in replica order), so every derived
-    //! artifact is byte-identical for every worker count.
+    //! Replicas are striped over `NC_THREADS` OS workers exactly like
+    //! [`super::fleet`] (one pooled [`SimArena`] per worker, rows in
+    //! replica order), so every derived artifact is byte-identical for
+    //! every worker count.
 
     use nc_apps::{bitw, blast};
     use nc_core::num::{rat, Rat};
@@ -687,6 +636,17 @@ pub mod tailload {
         pub peak_backlog: f64,
     }
 
+    /// Simulate one replica through a pooled arena.
+    fn observe(scenario: &TailScenario, replica: u64, arena: &mut SimArena) -> TailObs {
+        let cfg = scenario.replica_config(replica);
+        let r = simulate_in(arena, &scenario.pipeline, &cfg);
+        TailObs {
+            replica,
+            delay_max: r.delay_max,
+            peak_backlog: r.peak_backlog,
+        }
+    }
+
     /// Simulate one stripe of replicas through one pooled arena.
     pub fn replay_stripe(
         scenario: &TailScenario,
@@ -695,50 +655,18 @@ pub mod tailload {
     ) -> Vec<TailObs> {
         replicas
             .iter()
-            .map(|&replica| {
-                let cfg = scenario.replica_config(replica);
-                let r = simulate_in(arena, &scenario.pipeline, &cfg);
-                TailObs {
-                    replica,
-                    delay_max: r.delay_max,
-                    peak_backlog: r.peak_backlog,
-                }
-            })
+            .map(|&replica| observe(scenario, replica, arena))
             .collect()
     }
 
     /// Run `replicas` independent replicas striped over `workers` OS
-    /// threads and merge the observations back in replica order — the
-    /// result is identical for every worker count.
+    /// threads, observations in replica order — the result is
+    /// identical for every worker count.
     pub fn replicate(scenario: &TailScenario, replicas: u64, workers: usize) -> Vec<TailObs> {
-        let workers = workers.clamp(1, replicas.max(1) as usize);
-        if workers == 1 {
-            let mut arena = SimArena::default();
-            return replay_stripe(scenario, &(0..replicas).collect::<Vec<_>>(), &mut arena);
-        }
-        let stripes: Vec<Vec<u64>> = {
-            let mut s = vec![Vec::new(); workers];
-            for r in 0..replicas {
-                s[(r % workers as u64) as usize].push(r);
-            }
-            s
-        };
-        let mut obs: Vec<TailObs> = std::thread::scope(|scope| {
-            let handles: Vec<_> = stripes
-                .iter()
-                .map(|stripe| {
-                    scope.spawn(move || {
-                        let mut arena = SimArena::default();
-                        replay_stripe(scenario, stripe, &mut arena)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("tail worker panicked"))
-                .collect()
+        let ids: Vec<u64> = (0..replicas).collect();
+        let (obs, _) = nc_sweep::stripe(&ids, workers, SimArena::default, |arena, &replica| {
+            observe(scenario, replica, arena)
         });
-        obs.sort_by_key(|o| o.replica);
         obs
     }
 
@@ -806,6 +734,15 @@ pub mod tailload {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn malformed_sizes_warn_and_fall_back() {
+        assert_eq!(parse_size("N", None, 7), 7);
+        assert_eq!(parse_size("N", Some(" 20 "), 7), 20);
+        for bad in ["2O", "", "0", "-3", "1.5"] {
+            assert_eq!(parse_size("N", Some(bad), 7), 7, "{bad:?}");
+        }
+    }
 
     #[test]
     fn results_dir_exists() {

@@ -21,10 +21,10 @@
 //!    a property the `prop_curves` suite checks on random curves.
 //!
 //! Caches are deliberately `!Sync`: parallel sweeps give each worker
-//! thread its own cache (e.g. via `rayon`'s `map_init`), which avoids
-//! lock contention on the hot path and keeps results independent of
-//! thread scheduling — sweep output is byte-identical under any
-//! `RAYON_NUM_THREADS`.
+//! thread its own cache (`nc_sweep::stripe`'s per-worker state), which
+//! avoids lock contention on the hot path and keeps results independent
+//! of thread scheduling — sweep output is byte-identical under any
+//! `NC_THREADS`.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -9,13 +9,14 @@
 //! discrete-event simulation), and returns a deterministic bounds
 //! surface.
 //!
-//! Evaluation fans out over `rayon`. Each worker thread carries its own
-//! [`ModelCache`] (hash-consed curves + memoized min-plus operators +
-//! pipeline-prefix reuse — see `nc_core::cache`) and its own
-//! reusable [`SimArena`], so neighbouring grid points share almost all
-//! of their analysis. Results are collected in grid order and contain
-//! no thread-dependent data: sweep output is byte-identical for any
-//! `RAYON_NUM_THREADS`, including 1.
+//! Evaluation fans out over [`workers`] threads with [`stripe`], which
+//! hands each worker one contiguous run of grid points. Each worker
+//! carries its own [`ModelCache`] (hash-consed curves + memoized
+//! min-plus operators + pipeline-prefix reuse — see `nc_core::cache`)
+//! and its own reusable [`SimArena`], so neighbouring grid points share
+//! almost all of their analysis. Results are collected in grid order
+//! and contain no thread-dependent data: sweep output is byte-identical
+//! for any `NC_THREADS`, including 1.
 //!
 //! ## Quick start
 //!
@@ -53,9 +54,9 @@
 
 #![warn(missing_docs)]
 
-use std::sync::{Arc, Mutex};
+mod fanout;
 
-use rayon::prelude::*;
+pub use fanout::{stripe, workers};
 
 use nc_core::bounds::Regime;
 use nc_core::cache::{CacheStats, CurveOps, DirectOps};
@@ -712,41 +713,26 @@ fn eval_uncached(spec: &SweepSpec, point: &GridPoint) -> PointResult {
     summarize(point, &model, throughput, sim, fc, tail, &mut DirectOps)
 }
 
-/// Per-worker state for the parallel sweep. Cache counters are merged
-/// into the shared sink on drop (rayon gives no other hook to recover
-/// `map_init` state).
-struct Worker {
-    cache: ModelCache,
-    arena: SimArena,
-    sink: Arc<Mutex<CacheStats>>,
-}
-
-impl Drop for Worker {
-    fn drop(&mut self) {
-        let mut s = self.sink.lock().expect("stats sink poisoned");
-        *s = s.merge(&self.cache.stats());
-    }
-}
-
-/// Evaluate the full grid in parallel with per-worker caches and sim
-/// arenas. Point results are independent of the cache state, so the
-/// output (and its CSV) is byte-identical for any thread count; only
-/// [`SweepResult::stats`] varies with scheduling.
+/// Evaluate the full grid over [`workers`] threads with per-worker
+/// caches and sim arenas. Point results are independent of the cache
+/// state, so the output (and its CSV) is byte-identical for any worker
+/// count; only [`SweepResult::stats`] varies with it.
 pub fn run(spec: &SweepSpec) -> SweepResult {
+    run_on(spec, workers())
+}
+
+/// [`run`] at an explicit fan-out width.
+fn run_on(spec: &SweepSpec, workers: usize) -> SweepResult {
     let points = grid(spec);
-    let sink = Arc::new(Mutex::new(CacheStats::default()));
-    let results: Vec<PointResult> = points
-        .into_par_iter()
-        .map_init(
-            || Worker {
-                cache: ModelCache::new(),
-                arena: SimArena::new(),
-                sink: Arc::clone(&sink),
-            },
-            |w, point| eval_cached(spec, &point, &mut w.cache, &mut w.arena),
-        )
-        .collect();
-    let stats = *sink.lock().expect("stats sink poisoned");
+    let (results, states) = stripe(
+        &points,
+        workers,
+        || (ModelCache::new(), SimArena::new()),
+        |(cache, arena), point| eval_cached(spec, point, cache, arena),
+    );
+    let stats = states.iter().fold(CacheStats::default(), |s, (cache, _)| {
+        s.merge(&cache.stats())
+    });
     SweepResult {
         axis_labels: spec.axes.iter().map(|a| a.param.label()).collect(),
         horizons: spec.horizons.clone(),
@@ -996,17 +982,10 @@ mod tests {
             sim: None,
             tail: None,
         };
-        let one = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .expect("pool")
-            .install(|| run(&spec));
-        let four = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .expect("pool")
-            .install(|| run(&spec));
-        assert_eq!(one.to_csv(), four.to_csv());
+        let one = run_on(&spec, 1).to_csv();
+        for workers in [2, 4] {
+            assert_eq!(run_on(&spec, workers).to_csv(), one, "workers={workers}");
+        }
     }
 
     #[test]

@@ -21,14 +21,14 @@ PAR_SCALING_SMOKE=1 cargo bench -p nc-bench --bench par_scaling -- --test
 cargo bench -p nc-bench --bench admission -- --test
 
 echo "==> sweep smoke: 4x4 grid through the batch engine"
-SWEEP_GRID=4x4 cargo run --release -q -p nc-bench --bin sweep
+SWEEP_GRID=4x4 NC_THREADS=2 cargo run --release -q -p nc-bench --bin sweep
 
-echo "==> NC_THREADS determinism: sweep CSV byte-identical at 1 worker"
-cp results/sweep_bitw.csv /tmp/sweep_ambient.csv
+echo "==> NC_THREADS determinism: sweep CSV byte-identical at 1 vs 2 workers"
+cp results/sweep_bitw.csv /tmp/sweep_2workers.csv
 SWEEP_GRID=4x4 NC_THREADS=1 cargo run --release -q -p nc-bench --bin sweep > /dev/null
-cmp results/sweep_bitw.csv /tmp/sweep_ambient.csv \
-  || { echo "FAIL: sweep CSV differs between NC_THREADS=1 and the ambient pool" >&2; exit 1; }
-rm -f /tmp/sweep_ambient.csv
+cmp results/sweep_bitw.csv /tmp/sweep_2workers.csv \
+  || { echo "FAIL: sweep CSV differs between NC_THREADS=1 and NC_THREADS=2" >&2; exit 1; }
+rm -f /tmp/sweep_2workers.csv
 
 echo "==> backpressure gate: closed-form bounds contain DES on every overload_det.csv row"
 cargo run --release -q -p nc-bench --bin overload > /dev/null
@@ -53,14 +53,14 @@ print(f"backpressure gate: {len(rows)} rows, every DES observation within the cl
 PY
 
 echo "==> admission smoke: 6-tenant request trace through the admit bin"
-ADMIT_FLEET=6 ADMIT_REQS=40 cargo run --release -q -p nc-bench --bin admit > /dev/null
+ADMIT_FLEET=6 ADMIT_REQS=40 NC_THREADS=2 cargo run --release -q -p nc-bench --bin admit > /dev/null
 
-echo "==> NC_THREADS determinism: admission CSV byte-identical at 1 worker"
-cp results/admission.csv /tmp/admission_ambient.csv
+echo "==> NC_THREADS determinism: admission CSV byte-identical at 1 vs 2 workers"
+cp results/admission.csv /tmp/admission_2workers.csv
 ADMIT_FLEET=6 ADMIT_REQS=40 NC_THREADS=1 cargo run --release -q -p nc-bench --bin admit > /dev/null
-cmp results/admission.csv /tmp/admission_ambient.csv \
-  || { echo "FAIL: admission CSV differs between NC_THREADS=1 and the ambient pool" >&2; exit 1; }
-rm -f /tmp/admission_ambient.csv
+cmp results/admission.csv /tmp/admission_2workers.csv \
+  || { echo "FAIL: admission CSV differs between NC_THREADS=1 and NC_THREADS=2" >&2; exit 1; }
+rm -f /tmp/admission_2workers.csv
 
 echo "==> serve smoke: UDS service, ~1k-request replay byte-compared to the in-proc engine"
 # A real server on a unix socket, the canonical 8-tenant trace (1008

@@ -441,6 +441,7 @@ fn stochastic_tail_million_replica_containment() {
     use streamcalc::core::num::rat;
     use streamcalc::core::stoch::StochSpec;
     use streamcalc::streamsim::{simulate_in, SimArena};
+    use streamcalc::sweep::{stripe, workers};
 
     let p = single_stage(40_000, 60_000, 25_000, 512);
     let total: u64 = 8 * 512; // 8 jobs per replica
@@ -458,52 +459,43 @@ fn stochastic_tail_million_replica_containment() {
         .collect();
 
     const REPLICAS: u64 = 1_000_000;
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
-    let chunk = REPLICAS.div_ceil(workers);
-    // Violation counts are sums, so the merge is order-independent:
-    // identical totals for every worker count.
-    let violations: Vec<u64> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let (p, bounds) = (&p, &bounds);
-                scope.spawn(move || {
-                    let mut arena = SimArena::default();
-                    let mut counts = vec![0u64; bounds.len()];
-                    let hi = (chunk * (w + 1)).min(REPLICAS);
-                    for replica in chunk * w..hi {
-                        let sim = simulate_in(
-                            &mut arena,
-                            p,
-                            &SimConfig {
-                                seed: replica + 1,
-                                total_input: total,
-                                source_chunk: Some(512),
-                                queue_capacity: None,
-                                queue_capacities: None,
-                                service_model: nc_streamsim::ServiceModel::Uniform,
-                                trace: false,
-                                fast_forward: true,
-                                faults: None,
-                                workers: None,
-                            },
-                        );
-                        for (c, b) in counts.iter_mut().zip(bounds) {
-                            if sim.delay_max > *b {
-                                *c += 1;
-                            }
-                        }
-                    }
-                    counts
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .fold(vec![0u64; budgets.len()], |acc, h| {
-                let c = h.join().expect("tail worker panicked");
-                acc.iter().zip(&c).map(|(a, b)| a + b).collect()
-            })
-    });
+    let replicas: Vec<u64> = (0..REPLICAS).collect();
+    // Each worker counts its own violations; counts are sums, so the
+    // merge is order-independent: identical totals for every worker
+    // count.
+    let (_, states) = stripe(
+        &replicas,
+        workers(),
+        || (SimArena::default(), vec![0u64; bounds.len()]),
+        |(arena, counts), &replica| {
+            let sim = simulate_in(
+                arena,
+                &p,
+                &SimConfig {
+                    seed: replica + 1,
+                    total_input: total,
+                    source_chunk: Some(512),
+                    queue_capacity: None,
+                    queue_capacities: None,
+                    service_model: nc_streamsim::ServiceModel::Uniform,
+                    trace: false,
+                    fast_forward: true,
+                    faults: None,
+                    workers: None,
+                },
+            );
+            for (c, b) in counts.iter_mut().zip(&bounds) {
+                if sim.delay_max > *b {
+                    *c += 1;
+                }
+            }
+        },
+    );
+    let violations = states
+        .iter()
+        .fold(vec![0u64; budgets.len()], |acc, (_, c)| {
+            acc.iter().zip(c).map(|(a, b)| a + b).collect()
+        });
     for ((eps, &count), bound) in budgets.iter().zip(&violations).zip(&bounds) {
         let allowed = (eps.to_f64() * REPLICAS as f64) as u64;
         assert!(
