@@ -1,231 +1,141 @@
-//! The tracked performance baseline.
+//! The tracked performance baseline, and the repository's one perf
+//! harness.
 //!
-//! Times the paper-reproduction binaries end to end (`table1`,
-//! `table3`, `fig4`, `fig10`, `montecarlo`, `overload`, `sweep`), the
-//! min-plus kernel fast paths against their reference implementations,
-//! the simulation scaling layer (thinned event path vs the frozen
-//! reference engine; deterministic cycle-jump on vs off), the scale
-//! simulation rows (64 MiB / 1 GiB stochastic, 16 GiB deterministic),
-//! the batch sweep engine (cached + parallel vs serial uncached,
-//! with result-equality asserted and cache-hit counts recorded), and
-//! the stage-parallel PDES engine (DESIGN.md §12) across worker counts
-//! against the sequential thinned engine, the fleet-throughput row
-//! (10³ independent seeded tenant simulations sharing one pooled
-//! arena), and the admission-control engine (DESIGN.md §13 — the warm
-//! incremental decision path, a full trace replay, and the cold-start
-//! full-recompute ablation), the striped-fleet row (tenants striped
-//! over OS workers, one arena per worker), and the watermark
-//! publication-batching ablation (`NC_PUB_QUANTUM` 256 vs 1, with
-//! publish counts), the closed-form flow-control sweep against
-//! bounded-queue DES per grid point (the backpressure-bounds
-//! tentpole), and the stochastic tail-bound ablation (the
-//! closed-form `tail_bounds_cached` budget ladder against the
-//! 10⁴-replica Monte Carlo quantile estimator it certifies), and the
-//! admission service front (DESIGN.md §16 — the `nc-serve` shard pool
-//! behind the full wire codec: warm-pair throughput, the
-//! batched-vs-per-request framing ablation with its ≥5× floor
-//! asserted in-bin, and canonical-trace replays at 1/2/4 shards with
-//! byte-identity to the in-proc engine asserted before timing), then
-//! writes the whole snapshot to `BENCH_9.json` at the workspace root
-//! — next to the earlier PRs' `BENCH_1.json`–`BENCH_8.json` — so perf
-//! regressions show up in review diffs.
+//! Every measurement is a row of the [`nc_bench::perf`] schema, timed by
+//! [`perf::time`]. The sections, in run order: the repro binaries end
+//! to end; the exact curve algebra and the `Rat` lane, each fast path
+//! beside its always-general reference twin; the DES kernel; the
+//! workload kernels behind Table 2; model construction, and the
+//! closed-form flow-control and tail bounds against the simulations
+//! they replace; the simulators at scale; the stage-parallel engine and
+//! its publication batching; the batch sweep engine; the admission
+//! engine; and its service front (`nc-serve`) through the full wire
+//! codec. Worker and shard counts above the host's cores are skipped
+//! with a notice.
 //!
-//! The snapshot records `host_cpus`: parallel-engine rows are only
-//! meaningful relative to the cores available when they were taken (on
-//! a single-vCPU host every worker count serializes and the scaling
-//! rows measure synchronization overhead, not speedup).
+//! Correctness asserts (sweep cached = uncached, service replay =
+//! in-proc engine, finite backpressure and tail bounds, every repro
+//! binary exiting 0) run before the snapshot is written, so a failed
+//! one leaves no snapshot. The snapshot goes to `BENCH_10.json` at the
+//! workspace root, next to the earlier baselines. The run then checks
+//! its ratio floors and compares its time rows against the newest other
+//! `BENCH_*.json` ([`Snapshot::check`]), prints the findings, and exits
+//! 1 if one fails the gate.
 //!
 //! Run with `cargo run --release -p nc-bench --bin perfbase`. Set
-//! `PERFBASE_OUT=/path/to.json` to redirect the snapshot (used by
-//! `scripts/perfgate.sh` so gate runs never clobber the committed
+//! `PERFBASE_OUT=/path/to.json` to redirect the snapshot
+//! (`scripts/perfgate.sh` does, so gate runs never touch the committed
 //! baseline).
 
 use std::process::{Command, Stdio};
-use std::time::Instant;
 
 use nc_apps::{bitw, blast};
-use nc_bench::tailload;
+use nc_bench::perf::{self, Row, Snapshot};
+use nc_bench::{admitload, tailload};
+use nc_core::curve::approx::{sampled_backlog, sampled_delay};
 use nc_core::curve::{shapes, Curve};
 use nc_core::num::{rat, Rat};
 use nc_core::ops::{
-    min_plus_conv, min_plus_conv_general, min_plus_deconv, min_plus_deconv_general,
+    horizontal_deviation, min_plus_conv, min_plus_conv_general, min_plus_deconv,
+    min_plus_deconv_general, subadditive_closure, vertical_deviation,
 };
 use nc_core::pipeline::{ModelCache, Node, NodeKind, Pipeline, Source, StageRates};
 use nc_core::units::mib_per_s;
+use nc_core::{bounds, packetizer};
+use nc_des::{ByteQueue, Dist, Sim, SimPool, SlotAgenda, Span, Time};
 use nc_streamsim::{
     flow_windows, par_fallback, simulate, simulate_in, simulate_reference, ServiceModel, SimArena,
     SimConfig,
 };
-use serde::Serialize;
+use nc_workloads::aes::{cbc_decrypt_raw, cbc_encrypt_raw, Aes256};
+use nc_workloads::blast::{blast_search, seed_match, QueryIndex, UngappedParams};
+use nc_workloads::fasta::{fa2bit, random_dna};
+use nc_workloads::lz4;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
-#[derive(Serialize)]
-struct BinTime {
-    bin: String,
-    /// Best-of-2 wall time of one full run, seconds.
-    wall_s: f64,
-}
+const COMMAND: &str = "cargo run --release -p nc-bench --bin perfbase";
 
-#[derive(Serialize)]
-struct Ablation {
-    what: String,
-    fast_s: f64,
-    reference_s: f64,
-    speedup: f64,
-}
+/// A section of the run: it measures one layer, recording its rows
+/// under the group it is registered with.
+type Section = fn(&mut Bench);
 
-#[derive(Serialize)]
-struct SimTime {
-    what: String,
-    events: u64,
-    per_run_s: f64,
-}
+/// Every section with its row group, in run order. Later sections read
+/// rows of earlier ones: `par` its sequential twins from `sim`, `serve`
+/// the warm in-proc pair from `admit`.
+const SECTIONS: [(&str, Section); 10] = [
+    ("bin", bins),
+    ("curve", curves),
+    ("des", des),
+    ("kernel", kernels),
+    ("model", models),
+    ("sim", sims),
+    ("par", par),
+    ("sweep", sweep),
+    ("admit", admission),
+    ("serve", serve),
+];
 
-#[derive(Serialize)]
-struct SweepBench {
-    what: String,
-    points: usize,
-    /// Best-of-3 wall time of `nc_sweep::run` (parallel, per-worker
-    /// caches), seconds.
-    cached_s: f64,
-    /// Best-of-2 wall time of `nc_sweep::run_serial_uncached` (the
-    /// status-quo loop), seconds.
-    uncached_serial_s: f64,
-    speedup: f64,
-    /// Merged cache counters of one cached run.
-    cache: nc_core::cache::CacheStats,
-}
-
-#[derive(Serialize)]
-struct ParScalingRow {
-    what: String,
-    /// `0` encodes the sequential thinned engine (`workers: None`).
-    workers: usize,
-    per_run_s: f64,
-    /// Sequential wall time over this row's (>1 = faster than the
-    /// sequential engine).
-    speedup_vs_seq: f64,
-}
-
-#[derive(Serialize)]
-struct PublishRow {
-    what: String,
-    /// Events per watermark publication (`NC_PUB_QUANTUM`).
-    quantum: u32,
-    /// Link publications (flushes) during the timed run.
-    publishes: u64,
-    per_run_s: f64,
-}
-
-#[derive(Serialize)]
-struct AdmissionRow {
-    what: String,
-    /// Decisions per measured unit (pair, trace, or single call).
-    decisions: u64,
-    per_decision_s: f64,
-    decisions_per_s: f64,
-}
-
-#[derive(Serialize)]
-struct ServeRow {
-    what: String,
-    shards: usize,
-    /// Ring publication quantum (1 = per-request synchronous framing).
-    quantum: usize,
-    decisions: u64,
-    per_decision_s: f64,
-    decisions_per_s: f64,
-}
-
-#[derive(Serialize)]
-struct Baseline {
-    schema: &'static str,
-    command: &'static str,
-    /// Cores available when the snapshot was taken — the context the
-    /// `par_scaling` rows must be read in.
+/// The rows of one run, the group being recorded, and the cores the
+/// rows are taken on.
+struct Bench {
     host_cpus: usize,
-    bins: Vec<BinTime>,
-    sims: Vec<SimTime>,
-    admission: Vec<AdmissionRow>,
-    serve: Vec<ServeRow>,
-    ablations: Vec<Ablation>,
-    sweeps: Vec<SweepBench>,
-    par_scaling: Vec<ParScalingRow>,
-    publish_ablation: Vec<PublishRow>,
+    group: &'static str,
+    rows: Vec<Row>,
 }
 
-fn lb(r: i64, b: i64) -> Curve {
-    shapes::leaky_bucket(Rat::int(r), Rat::int(b))
-}
-fn rl(r: i64, t: i64) -> Curve {
-    shapes::rate_latency(Rat::int(r), Rat::int(t))
-}
-
-/// Noise-robust seconds per iteration of `f` (after a 10% warmup): the
-/// per-iteration mean of the fastest of five equal batches. Taking the
-/// minimum matches `run_bin`'s best-of-2 policy — scheduler noise on a
-/// shared single-vCPU box is strictly one-sided, so the fastest batch
-/// is the least-contaminated estimate.
-fn per_iter(iters: u32, mut f: impl FnMut()) -> f64 {
-    for _ in 0..iters / 10 {
-        f();
+impl Bench {
+    /// Record a row in the current group and echo it.
+    fn row(&mut self, what: &str, params: &str, metric: &str, value: f64) {
+        println!("  {what:<58} {params:<24} {value:>11.4e} {metric}");
+        self.rows
+            .push(Row::new(self.group, what, params, metric, value));
     }
-    let batch = (iters / 5).max(1);
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        let t = Instant::now();
-        for _ in 0..batch {
-            f();
+
+    /// Time `f` as a seconds-per-run row; returns the seconds.
+    fn time<R>(&mut self, what: &str, params: &str, f: impl FnMut() -> R) -> f64 {
+        let s = perf::time(f);
+        self.row(what, params, "per_run_s", s);
+        s
+    }
+
+    /// Time `f`, which makes `decisions` decisions per call, as a
+    /// seconds-per-decision row; returns the seconds per decision.
+    fn time_per_decision<R>(
+        &mut self,
+        what: &str,
+        params: &str,
+        decisions: usize,
+        f: impl FnMut() -> R,
+    ) -> f64 {
+        let s = perf::time(f) / decisions as f64;
+        self.row(what, params, "per_decision_s", s);
+        s
+    }
+
+    /// A ratio row: `reference` seconds over `subject` seconds.
+    fn speedup(&mut self, what: &str, params: &str, reference: f64, subject: f64) {
+        self.row(what, params, "speedup", reference / subject);
+    }
+
+    /// The seconds of a time row an earlier section took.
+    fn seconds(&self, group: &str, what: &str, params: &str) -> f64 {
+        self.rows
+            .iter()
+            .find(|r| r.is_time() && (&*r.group, &*r.what, &*r.params) == (group, what, params))
+            .unwrap_or_else(|| panic!("no time row {group} | {what} [{params}]"))
+            .value
+    }
+
+    /// The widths in `axis` this host runs without oversubscription;
+    /// the rest are skipped with a notice.
+    fn widths(&self, axis: &[usize]) -> Vec<usize> {
+        let (fit, skip): (Vec<usize>, Vec<usize>) =
+            axis.iter().partition(|&&w| w <= self.host_cpus);
+        for w in skip {
+            println!("  skipping width {w} (> host_cpus={})", self.host_cpus);
         }
-        best = best.min(t.elapsed().as_secs_f64() / batch as f64);
-    }
-    best
-}
-
-fn ablation(
-    what: &str,
-    iters: u32,
-    mut fast: impl FnMut(),
-    mut reference: impl FnMut(),
-) -> Ablation {
-    let fast_s = per_iter(iters, &mut fast);
-    let reference_s = per_iter(iters, &mut reference);
-    let a = Ablation {
-        what: what.into(),
-        fast_s,
-        reference_s,
-        speedup: reference_s / fast_s.max(f64::MIN_POSITIVE),
-    };
-    println!(
-        "  {:<36} fast {:>12.3e}s  reference {:>12.3e}s  speedup {:>6.2}x",
-        a.what, a.fast_s, a.reference_s, a.speedup
-    );
-    a
-}
-
-/// Best-of-2 wall time of one run of a sibling repro binary.
-fn run_bin(name: &str) -> BinTime {
-    let exe = std::env::current_exe().expect("current exe");
-    let path = exe.parent().expect("bin dir").join(name);
-    assert!(
-        path.exists(),
-        "{} not built — run `cargo build --release -p nc-bench --bins` first",
-        path.display()
-    );
-    let mut best = f64::INFINITY;
-    for _ in 0..2 {
-        let t = Instant::now();
-        let status = Command::new(&path)
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .status()
-            .unwrap_or_else(|e| panic!("spawn {name}: {e}"));
-        assert!(status.success(), "{name} exited with {status}");
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    println!("  {name:<36} {best:>10.3}s");
-    BinTime {
-        bin: name.into(),
-        wall_s: best,
+        fit
     }
 }
 
@@ -238,827 +148,852 @@ fn main() {
         .expect("spawn cargo build");
     assert!(status.success(), "building repro binaries failed");
 
-    println!("perf baseline: repro binaries (best of 2)");
-    let bins = [
-        "table1",
-        "table3",
-        "fig4",
-        "fig10",
-        "montecarlo",
-        "overload",
-        "sweep",
-        "admit",
-    ]
-    .iter()
-    .map(|b| run_bin(b))
-    .collect();
-
-    println!("perf baseline: kernel fast paths vs reference");
-    let mut ablations = Vec::new();
-
-    // Convex ⊗ convex: slope merge vs strategy envelope.
-    let cx = rl(1, 0).max(&rl(4, 3)).max(&rl(9, 6));
-    let cy = rl(2, 1).max(&rl(6, 5)).max(&rl(12, 9));
-    ablations.push(ablation(
-        "conv convex x convex",
-        20_000,
-        || {
-            std::hint::black_box(min_plus_conv(&cx, &cy));
-        },
-        || {
-            std::hint::black_box(min_plus_conv_general(&cx, &cy));
-        },
-    ));
-
-    // Concave ⊗ concave: offset-aware min vs strategy envelope.
-    let kx = lb(2, 5).min(&lb(1, 9));
-    let ky = lb(3, 4).min(&lb(1, 12));
-    ablations.push(ablation(
-        "conv concave x concave",
-        20_000,
-        || {
-            std::hint::black_box(min_plus_conv(&kx, &ky));
-        },
-        || {
-            std::hint::black_box(min_plus_conv_general(&kx, &ky));
-        },
-    ));
-
-    // Mixed shapes: pruned strategy scan vs unpruned.
-    let sx = shapes::truncated_staircase(Rat::int(3), Rat::int(2), 16);
-    ablations.push(ablation(
-        "conv staircase16 (pruned)",
-        2_000,
-        || {
-            std::hint::black_box(min_plus_conv(&sx, &sx));
-        },
-        || {
-            std::hint::black_box(min_plus_conv_general(&sx, &sx));
-        },
-    ));
-
-    // Deconvolution closed form.
-    let dy = rl(3, 4);
-    ablations.push(ablation(
-        "deconv concave / rate-latency",
-        20_000,
-        || {
-            std::hint::black_box(min_plus_deconv(&kx, &dy));
-        },
-        || {
-            std::hint::black_box(min_plus_deconv_general(&kx, &dy));
-        },
-    ));
-
-    // Rational ops: i64 lane vs checked reference route.
-    let (ra, rb) = (rat(355, 113), rat(-217, 990));
-    ablations.push(ablation(
-        "Rat add (i64 lane)",
-        2_000_000,
-        || {
-            std::hint::black_box(std::hint::black_box(ra) + std::hint::black_box(rb));
-        },
-        || {
-            std::hint::black_box(
-                std::hint::black_box(ra)
-                    .checked_add(std::hint::black_box(rb))
-                    .unwrap(),
-            );
-        },
-    ));
-    ablations.push(ablation(
-        "Rat mul (i64 lane)",
-        2_000_000,
-        || {
-            std::hint::black_box(std::hint::black_box(ra) * std::hint::black_box(rb));
-        },
-        || {
-            std::hint::black_box(
-                std::hint::black_box(ra)
-                    .checked_mul(std::hint::black_box(rb))
-                    .unwrap(),
-            );
-        },
-    ));
-
-    // Replication loops: pooled arena vs fresh storage per run. BLAST
-    // moves 64 MiB in ~700 MiB-sized jobs; BITW pushes ~7 events per
-    // KiB and is the event-bound workload.
-    let p = blast::deployed_pipeline();
-    let mut cfg = blast::sim_config(1);
-    cfg.total_input = 64 << 20;
-    let mut arena = SimArena::new();
-    ablations.push(ablation(
-        "streamsim BLAST 64 MiB (pooled)",
-        400,
-        || {
-            std::hint::black_box(simulate_in(&mut arena, &p, &cfg));
-        },
-        || {
-            std::hint::black_box(simulate(&p, &cfg));
-        },
-    ));
-
-    let pw = bitw::sim_pipeline();
-    let mut cfgw = bitw::sim_config(1);
-    let mut arena_w = SimArena::new();
-    ablations.push(ablation(
-        "streamsim BITW 2 MiB (pooled)",
-        100,
-        || {
-            std::hint::black_box(simulate_in(&mut arena_w, &pw, &cfgw));
-        },
-        || {
-            std::hint::black_box(simulate(&pw, &cfgw));
-        },
-    ));
-
-    // Simulation scaling layer (DESIGN.md §10): the thinned stochastic
-    // event path against the frozen pre-PR reference engine (results
-    // are bit-identical — asserted by the engine-equivalence property
-    // tests), and the deterministic cycle-jump fast-forward against
-    // exact stepping on a bounded-queue 1 GiB run.
-    let mut cfg_thin = bitw::sim_config(1);
-    cfg_thin.trace = false;
-    cfg_thin.total_input = 64 << 20;
-    ablations.push(ablation(
-        "streamsim thinned vs reference (64 MiB)",
-        20,
-        || {
-            std::hint::black_box(simulate(&pw, &cfg_thin));
-        },
-        || {
-            std::hint::black_box(simulate_reference(&pw, &cfg_thin));
-        },
-    ));
-    let mut cfg_ff = cfg_thin.clone();
-    cfg_ff.service_model = ServiceModel::Deterministic;
-    cfg_ff.queue_capacity = Some(64 << 10);
-    cfg_ff.total_input = 1 << 30;
-    let mut cfg_noff = cfg_ff.clone();
-    cfg_noff.fast_forward = false;
-    ablations.push(ablation(
-        "det cycle-jump on vs off (1 GiB)",
-        5,
-        || {
-            std::hint::black_box(simulate(&pw, &cfg_ff));
-        },
-        || {
-            std::hint::black_box(simulate(&pw, &cfg_noff));
-        },
-    ));
-
-    // Closed-form backpressure bounds vs DES per grid point, on a
-    // 16-point backpressured overload grid (offered load 40→160 MiB/s
-    // against a ~100 MiB/s kernel behind a 4 MiB bounded queue, 16 GiB
-    // per point). The closed form evaluates `nc_core::flowctl` on the
-    // deterministic twin through one ModelCache — a fresh cache per
-    // sweep, as `nc_sweep::run` workers do; the reference runs the
-    // bounded-queue DES at its best (deterministic cycle-jump ON).
-    // This is the tentpole figure: bounded queues off the slow path.
-    let bp_base = Pipeline::new(
-        "bp-grid",
-        Source {
-            rate: mib_per_s(40.0),
-            burst: Rat::int(64 << 10),
-        },
-        vec![Node::new(
-            "kernel",
-            NodeKind::Compute,
-            StageRates::new(mib_per_s(95.0), mib_per_s(100.0), mib_per_s(105.0)),
-            Rat::new(1, 1000),
-            Rat::int(64 << 10),
-            Rat::int(64 << 10),
-        )],
-    );
-    let bp_cfg = SimConfig {
-        seed: 5,
-        total_input: 16 << 30,
-        source_chunk: Some(64 << 10),
-        queue_capacity: Some(4 << 20),
-        queue_capacities: None,
-        service_model: ServiceModel::Deterministic,
-        trace: false,
-        fast_forward: true,
-        faults: None,
-        workers: None,
+    let mut b = Bench {
+        host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        group: "",
+        rows: Vec::new(),
     };
-    let bp_grid: Vec<Pipeline> = (0..16)
-        .map(|k| {
-            let mut p = bp_base.clone();
-            p.source.rate = mib_per_s(40.0 + 120.0 * k as f64 / 15.0);
-            p
-        })
-        .collect();
-    let fc_ablation = ablation(
-        "flowctl sweep vs DES per point (16 pts)",
-        5,
-        || {
-            let mut cache = ModelCache::new();
-            for p in &bp_grid {
-                let det = p.deterministic_variant();
-                let w = flow_windows(&det, &bp_cfg).expect("valid bounded caps");
-                let m = det.flowctl_model_cached(&w, &mut cache);
-                assert!(
-                    m.delay.is_finite() && m.backlog.is_finite(),
-                    "backpressured bounds must stay finite in overload"
-                );
-                std::hint::black_box(m);
-            }
-        },
-        || {
-            for p in &bp_grid {
-                std::hint::black_box(simulate(p, &bp_cfg));
-            }
-        },
-    );
-    assert!(
-        fc_ablation.speedup >= 10.0,
-        "closed-form backpressure bounds must beat per-point DES >=10x, got {:.2}x",
-        fc_ablation.speedup
-    );
-    ablations.push(fc_ablation);
-
-    // Stochastic tail bounds vs the Monte Carlo estimator they
-    // certify: the fast side prices the whole §E-tail budget ladder
-    // (ε ∈ {0.1, 0.01, 0.001}) for the faulted BITW scenario through
-    // the prefix-memoized closed form; the reference side is the
-    // 10⁴-replica per-replica-seeded DES quantile estimator that
-    // `results/tail.csv` validates the bounds against. The closed
-    // form is expected to win by >=10², asserted at >=10x.
-    let tail_scenario = tailload::scenarios()
-        .into_iter()
-        .find(|s| s.name == "bitw-faulted")
-        .expect("bitw-faulted tail scenario");
-    let tail_budgets = [rat(1, 10), rat(1, 100), rat(1, 1000)];
-    let tail_ablation = ablation(
-        "tail bounds vs 1e4-replica MC (3 eps)",
-        5,
-        || {
-            let mut cache = ModelCache::new();
-            let spec = tail_scenario.spec();
-            for eps in tail_budgets {
-                let tb = tail_scenario
-                    .pipeline
-                    .tail_bounds_cached(&spec, eps, &mut cache);
-                assert!(
-                    tb.delay.is_finite() && tb.backlog.is_finite(),
-                    "tail bounds must stay finite for the BITW scenario"
-                );
-                std::hint::black_box(tb);
-            }
-        },
-        || {
-            std::hint::black_box(tailload::replicate(&tail_scenario, 10_000, 1));
-        },
-    );
-    assert!(
-        tail_ablation.speedup >= 10.0,
-        "closed-form tail bounds must beat the 1e4-replica MC estimator >=10x, got {:.2}x",
-        tail_ablation.speedup
-    );
-    ablations.push(tail_ablation);
-
-    // End-to-end simulation runs: the tracked wall-time trajectory for
-    // the DES + streamsim hot path. The BITW 64 MiB and 1 GiB rows run
-    // with `trace: false` — the scale setting, where live memory is the
-    // in-flight input window, not the run length. The traced 64 MiB row
-    // keeps the figure configuration for continuity with BENCH_2. The
-    // 16 GiB row is deterministic with bounded queues, so the periodic
-    // steady state is advanced in closed form by the cycle-jump
-    // fast-forward (its `events` count the virtual events skipped).
-    println!("perf baseline: scale simulation runs");
-    let mut sims = Vec::new();
-    cfgw.total_input = 64 << 20;
-    let mut cfg_1g = cfg_thin.clone();
-    cfg_1g.total_input = 1 << 30;
-    let mut cfg_det = cfg_ff.clone();
-    cfg_det.total_input = 16u64 << 30;
-    let rows = [
-        ("streamsim BITW 64 MiB", &pw, &cfg_thin),
-        ("streamsim BITW 64 MiB (traced)", &pw, &cfgw),
-        ("streamsim BITW 1 GiB", &pw, &cfg_1g),
-        ("streamsim BITW 16 GiB det (cycle-jump)", &pw, &cfg_det),
-        ("streamsim BLAST 64 MiB", &p, &cfg),
-    ];
-    // Pick iterations from one measured run so the 16 GiB row (~13 ms
-    // via fast-forward despite 117M virtual events) is not starved,
-    // then sample each row in three round-robin passes and keep the
-    // minimum — scheduler-noise windows on this box last seconds, so
-    // back-to-back batches alone can sit entirely inside one.
-    let stats: Vec<(u64, u32)> = rows
-        .iter()
-        .map(|(_, pipe, scfg)| {
-            let t = Instant::now();
-            let events = simulate(pipe, scfg).events;
-            let once = t.elapsed().as_secs_f64();
-            (events, ((0.4 / once.max(1e-6)) as u32).clamp(3, 400))
-        })
-        .collect();
-    let mut best = vec![f64::INFINITY; rows.len()];
-    for _ in 0..3 {
-        for (idx, (_, pipe, scfg)) in rows.iter().enumerate() {
-            let per = per_iter(stats[idx].1, || {
-                std::hint::black_box(simulate(pipe, scfg));
-            });
-            best[idx] = best[idx].min(per);
-        }
+    for (group, section) in SECTIONS {
+        println!("perfbase: {group}");
+        b.group = group;
+        section(&mut b);
     }
-    for (idx, (what, _, _)) in rows.iter().enumerate() {
-        let (events, _) = stats[idx];
-        let per_run_s = best[idx];
-        println!("  {what:<40} {per_run_s:>12.3e}s  ({events} events)");
-        sims.push(SimTime {
-            what: (*what).into(),
-            events,
-            per_run_s,
-        });
-    }
+    let snapshot = Snapshot::new(COMMAND, b.host_cpus, b.rows).expect("row keys are unique");
 
-    // Fleet-throughput row: 10^3 independent seeded tenant pipelines
-    // batch-simulated back to back through one pooled arena (the
-    // admission fleet at simulation fidelity). Aggregate events/s is
-    // the tracked figure; the row lives in `sims` so the perf gate
-    // compares it like any other simulation row.
-    println!("perf baseline: fleet batch simulation (1000 tenants, pooled arena)");
-    let fleet_n: u64 = 1000;
-    let mut arena_fleet = SimArena::new();
-    let mut fleet_events = 0u64;
-    let run_fleet = |arena: &mut SimArena| {
-        let mut events = 0u64;
-        for tenant in 0..fleet_n {
-            let mut c = bitw::sim_config(tenant + 1);
-            c.trace = false;
-            c.total_input = 256 << 10;
-            events += simulate_in(arena, &pw, &c).events;
-        }
-        events
-    };
-    let mut fleet_best = f64::INFINITY;
-    for _ in 0..3 {
-        let t = Instant::now();
-        fleet_events = run_fleet(&mut arena_fleet);
-        fleet_best = fleet_best.min(t.elapsed().as_secs_f64());
-    }
-    println!(
-        "  {:<40} {:>12.3e}s  ({} events, {:.3e} events/s)",
-        "streamsim fleet 1000 tenants x 256 KiB",
-        fleet_best,
-        fleet_events,
-        fleet_events as f64 / fleet_best
-    );
-    sims.push(SimTime {
-        what: "streamsim fleet 1000 tenants x 256 KiB (pooled)".into(),
-        events: fleet_events,
-        per_run_s: fleet_best,
-    });
-
-    // Admission engine (DESIGN.md §13): the warm incremental decision
-    // path (the tentpole's >=1e5 decisions/s/core target), a full
-    // 4-tenant trace replay with onboarding amortized in, and the
-    // cold-start oracle (full model rebuild + general curve algebra
-    // per decision) as the ablation baseline.
-    println!("perf baseline: admission engine (incremental vs cold start)");
-    use nc_bench::admitload;
-    let mut admission = Vec::new();
-    let adm_cfg = admitload::request_config(42, 1, 200);
-    let mut adm_shard = admitload::build_shard(&adm_cfg, &[0]);
-    let adm_tid = adm_shard.tenants[0].1;
-    let adm_class = adm_shard.classes[0];
-    let pair_s = per_iter(200_000, || {
-        let d = adm_shard
-            .engine
-            .decide(adm_tid, adm_class, 0)
-            .expect("in range");
-        if let Some(pl) = d.placement() {
-            adm_shard
-                .engine
-                .depart(adm_tid, adm_class, 0, pl)
-                .expect("resident flow");
-        }
-        std::hint::black_box(d);
-    });
-    let warm_per_decision = pair_s / 2.0;
-
-    let adm_trace_cfg = admitload::request_config(7, 4, 250);
-    let adm_trace = nc_workloads::requests::generate(&adm_trace_cfg);
-    let adm_tenants: Vec<usize> = (0..4).collect();
-    let (_, adm_stats) = admitload::replay_shard(&adm_trace_cfg, &adm_trace, &adm_tenants);
-    let replay_s = per_iter(30, || {
-        std::hint::black_box(admitload::replay_shard(
-            &adm_trace_cfg,
-            &adm_trace,
-            &adm_tenants,
-        ));
-    });
-    let replay_per_decision = replay_s / adm_stats.decisions as f64;
-
-    let oracle_s = admitload::oracle_per_decision_s(&adm_trace_cfg, 0, 200);
-
-    for (what, decisions, per_decision_s) in [
-        ("admit+depart pair, warm engine", 2u64, warm_per_decision),
-        (
-            "trace replay, 4 tenants x 250 arrivals (onboarding included)",
-            adm_stats.decisions,
-            replay_per_decision,
-        ),
-        ("cold-start full recompute (oracle)", 1, oracle_s),
-    ] {
-        let row = AdmissionRow {
-            what: what.into(),
-            decisions,
-            per_decision_s,
-            decisions_per_s: 1.0 / per_decision_s.max(f64::MIN_POSITIVE),
-        };
-        println!(
-            "  {:<58} {:>10.3e}s/decision  ({:.3e}/s)",
-            row.what, row.per_decision_s, row.decisions_per_s
-        );
-        admission.push(row);
-    }
-    let adm_ablation = Ablation {
-        what: "admission incremental vs full recompute".into(),
-        fast_s: warm_per_decision,
-        reference_s: oracle_s,
-        speedup: oracle_s / warm_per_decision.max(f64::MIN_POSITIVE),
-    };
-    println!(
-        "  {:<36} fast {:>12.3e}s  reference {:>12.3e}s  speedup {:>6.2}x",
-        adm_ablation.what, adm_ablation.fast_s, adm_ablation.reference_s, adm_ablation.speedup
-    );
-    ablations.push(adm_ablation);
-
-    // Batch sweep engine: cached + parallel fan-out vs the status-quo
-    // serial uncached loop, on the tracked 16x16 BITW workload (256
-    // points x 10 horizons). Result equality is asserted before timing,
-    // so the speedup is apples to apples.
-    println!("perf baseline: sweep engine (cached+parallel vs serial uncached)");
-    let spec = nc_bench::bitw_sweep_spec(16, 16);
-    let cached = nc_sweep::run(&spec);
-    let uncached = nc_sweep::run_serial_uncached(&spec);
-    assert_eq!(
-        cached.to_csv(),
-        uncached.to_csv(),
-        "cached sweep must reproduce the uncached surface exactly"
-    );
-    // Interleave the timed runs so CPU frequency drift hits both sides
-    // of the comparison equally; keep the best of each.
-    let (mut cached_s, mut uncached_serial_s) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..3 {
-        let t = Instant::now();
-        std::hint::black_box(nc_sweep::run(&spec));
-        cached_s = cached_s.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        std::hint::black_box(nc_sweep::run_serial_uncached(&spec));
-        uncached_serial_s = uncached_serial_s.min(t.elapsed().as_secs_f64());
-    }
-    let sweep = SweepBench {
-        what: "BITW 16x16 block-size x PCIe egress rate, 10 horizons".into(),
-        points: cached.points.len(),
-        cached_s,
-        uncached_serial_s,
-        speedup: uncached_serial_s / cached_s.max(f64::MIN_POSITIVE),
-        cache: cached.stats,
-    };
-    println!(
-        "  {:<36} cached {:>10.3e}s  uncached {:>10.3e}s  speedup {:>6.2}x",
-        sweep.what, sweep.cached_s, sweep.uncached_serial_s, sweep.speedup
-    );
-    println!(
-        "  cache: prefix {}/{} hit/miss, ops {}/{} hit/miss, {} curves interned",
-        sweep.cache.prefix_hits,
-        sweep.cache.prefix_misses,
-        sweep.cache.op_hits(),
-        sweep.cache.op_misses(),
-        sweep.cache.interned
-    );
-    let sweeps = vec![sweep];
-
-    // Stage-parallel PDES engine (DESIGN.md §12) vs the sequential
-    // thinned engine, on the event-bound BITW workloads. The parallel
-    // engine is bit-identical across worker counts (prop_par tests),
-    // so every row computes the same result; wall time is the only
-    // variable. Interleaved round-robin passes, best of each.
-    println!("perf baseline: stage-parallel engine scaling (host_cpus noted in snapshot)");
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut par_scaling = Vec::new();
-    for (label, total) in [("BITW 64 MiB", 64u64 << 20), ("BITW 1 GiB", 1 << 30)] {
-        let mut cfg_par = cfg_thin.clone();
-        cfg_par.total_input = total;
-        // Worker counts above the host's cores measure oversubscription,
-        // not the engine — skip them (mirrors perfgate.sh / par_scaling).
-        let worker_axis: Vec<Option<usize>> = [None, Some(1), Some(2), Some(4)]
-            .into_iter()
-            .filter(|w| match w {
-                Some(n) if *n > host_cpus => {
-                    println!(
-                        "  skipping workers={n} (> host_cpus={host_cpus}: oversubscription, \
-                         not engine scaling)"
-                    );
-                    false
-                }
-                _ => true,
-            })
-            .collect();
-        // One-line notice when a requested parallel run would fall
-        // back to the sequential engine (typed reason from
-        // `par_fallback`) — the row would then time the wrong engine.
-        for w in worker_axis.iter().flatten() {
-            cfg_par.workers = Some(*w);
-            if let Some(reason) = par_fallback(&cfg_par) {
-                println!("  note: workers={w} requested but running sequentially: {reason}");
-            }
-        }
-        let mut best = vec![f64::INFINITY; worker_axis.len()];
-        for _ in 0..3 {
-            for (slot, w) in worker_axis.iter().enumerate() {
-                cfg_par.workers = *w;
-                let t = Instant::now();
-                std::hint::black_box(simulate(&pw, &cfg_par));
-                best[slot] = best[slot].min(t.elapsed().as_secs_f64());
-            }
-        }
-        let seq_s = best[0];
-        for (slot, w) in worker_axis.iter().enumerate() {
-            let row = ParScalingRow {
-                what: format!("streamsim par {label}"),
-                workers: w.unwrap_or(0),
-                per_run_s: best[slot],
-                speedup_vs_seq: seq_s / best[slot].max(f64::MIN_POSITIVE),
-            };
-            println!(
-                "  {:<28} workers {:>3} {:>12.3e}s  vs seq {:>5.2}x",
-                row.what,
-                if row.workers == 0 {
-                    "seq".into()
-                } else {
-                    row.workers.to_string()
-                },
-                row.per_run_s,
-                row.speedup_vs_seq
-            );
-            par_scaling.push(row);
-        }
-    }
-
-    // Watermark publication-batching ablation: the par engine at one
-    // worker with the default 256-event quantum vs per-event
-    // publication (`NC_PUB_QUANTUM=1`, the pre-overhaul behavior).
-    // Publish counts come from the link layer's global flush counter;
-    // the quantum changes publication *timing* only, never results
-    // (prop_par pins bit-identity with batching active).
-    println!("perf baseline: watermark publication batching (par@1, BITW 64 MiB)");
-    let mut publish_ablation = Vec::new();
-    {
-        let mut cfg_pub = cfg_thin.clone();
-        cfg_pub.total_input = 64 << 20;
-        cfg_pub.workers = Some(1);
-        for quantum in [256u32, 1] {
-            std::env::set_var("NC_PUB_QUANTUM", quantum.to_string());
-            let mut best = f64::INFINITY;
-            let mut publishes = 0u64;
-            for _ in 0..3 {
-                nc_des::link::take_publish_count(); // drain other sections' counts
-                let t = Instant::now();
-                std::hint::black_box(simulate(&pw, &cfg_pub));
-                let dt = t.elapsed().as_secs_f64();
-                let count = nc_des::link::take_publish_count();
-                if dt < best {
-                    best = dt;
-                    publishes = count;
-                }
-            }
-            println!(
-                "  {:<40} quantum {:>4} {:>12.3e}s  ({publishes} publishes)",
-                "streamsim par@1 BITW 64 MiB", quantum, best
-            );
-            publish_ablation.push(PublishRow {
-                what: "streamsim par@1 BITW 64 MiB".into(),
-                quantum,
-                publishes,
-                per_run_s: best,
-            });
-        }
-        std::env::remove_var("NC_PUB_QUANTUM");
-    }
-
-    // Striped-fleet row: the same 1000-tenant fleet, striped over OS
-    // workers with one pooled arena per worker and a deterministic
-    // tenant-order merge (`nc_bench::fleet`; the merged CSV is
-    // byte-identical for any worker count — check.sh asserts it).
-    // Worker counts beyond the host's cores are skipped like the
-    // scaling rows above.
-    println!("perf baseline: striped fleet (1000 tenants, one arena per worker)");
-    {
-        let fcfg = nc_bench::fleet::FleetConfig {
-            tenants: fleet_n,
-            input_bytes: 256 << 10,
-        };
-        for workers in [1usize, 2, 4] {
-            if workers > host_cpus {
-                println!(
-                    "  skipping workers={workers} (> host_cpus={host_cpus}: oversubscription, \
-                     not engine scaling)"
-                );
-                continue;
-            }
-            let mut best = f64::INFINITY;
-            let mut events = 0u64;
-            for _ in 0..3 {
-                let t = Instant::now();
-                let rows = nc_bench::fleet::run_striped(&fcfg, workers);
-                best = best.min(t.elapsed().as_secs_f64());
-                events = rows.iter().map(|r| r.events).sum();
-            }
-            println!(
-                "  {:<40} {:>12.3e}s  ({} events, {:.3e} events/s)",
-                format!("streamsim fleet striped @{workers}w"),
-                best,
-                events,
-                events as f64 / best
-            );
-            sims.push(SimTime {
-                what: format!("streamsim fleet 1000 tenants x 256 KiB (striped @{workers}w)"),
-                events,
-                per_run_s: best,
-            });
-        }
-    }
-
-    // Admission service front (nc-serve, DESIGN.md §16): the shard
-    // pool behind the full wire codec — every frame is encoded to
-    // bytes and decoded back in both directions, so only the socket
-    // syscalls are missing from the measured path. The warm-pair
-    // workload mirrors the warm-engine row above, so the batched row
-    // reads directly as "service-front tax on the warm path". The
-    // per-request row publishes one frame at a time and parks until
-    // its response returns — the framing ablation baseline. Trace
-    // rows replay the canonical 8-tenant fleet through 1/2/4 shards
-    // (pool spawn + join inside the timed region, as a client would
-    // see it); shard counts beyond the host's cores are skipped with
-    // notice (BENCH_6 convention), and the service output is byte-
-    // compared against the in-proc engine before any timing is
-    // trusted.
-    println!("perf baseline: admission service front (batched vs per-request framing)");
-    let mut serve = Vec::new();
-    {
-        use nc_serve::proto::{EventKind, ReqFrame, RequestFrame};
-        use nc_serve::replay::{drive, replay_inproc, replay_service, to_csv, Batching};
-        use nc_serve::ShardPool;
-
-        let pairs = 2_000u64;
-        let mut frames = Vec::with_capacity(2 * pairs as usize);
-        for i in 0..pairs {
-            for (seq, event) in [(2 * i, EventKind::Arrive), (2 * i + 1, EventKind::Depart)] {
-                frames.push(RequestFrame::Request(ReqFrame {
-                    seq,
-                    time_s: seq as f64 * 1e-3,
-                    tenant: 0,
-                    class: 0,
-                    attach: 0,
-                    event,
-                    arrive_ix: 0,
-                }));
-            }
-        }
-        let quantum = 256usize;
-        let push_row = |serve: &mut Vec<ServeRow>,
-                        what: String,
-                        shards: usize,
-                        quantum: usize,
-                        decisions: u64,
-                        wall_s: f64| {
-            let per_decision_s = wall_s / decisions as f64;
-            let row = ServeRow {
-                what,
-                shards,
-                quantum,
-                decisions,
-                per_decision_s,
-                decisions_per_s: 1.0 / per_decision_s.max(f64::MIN_POSITIVE),
-            };
-            println!(
-                "  {:<44} {:>2} shard(s) q{:<4} {:>10.3e}s/decision  ({:.3e}/s)",
-                row.what, row.shards, row.quantum, row.per_decision_s, row.decisions_per_s
-            );
-            serve.push(row);
-        };
-
-        let mut mode_per_decision = Vec::new();
-        for (what, batching) in [
-            (
-                "serve warm pairs, batched framing",
-                Batching::Batched { quantum },
-            ),
-            (
-                "serve warm pairs, per-request framing",
-                Batching::PerRequest,
-            ),
-        ] {
-            let mut pool = ShardPool::new(&adm_cfg, 1, batching.quantum(), false);
-            // Warm pass: the first decision builds the tenant's models.
-            std::hint::black_box(drive(&mut pool, &frames, batching));
-            let mut best = f64::INFINITY;
-            for _ in 0..3 {
-                let t = Instant::now();
-                let r = drive(&mut pool, &frames, batching);
-                best = best.min(t.elapsed().as_secs_f64());
-                assert_eq!(r.len(), frames.len(), "lost responses in {what}");
-            }
-            pool.join();
-            let decisions = frames.len() as u64;
-            mode_per_decision.push(best / decisions as f64);
-            push_row(
-                &mut serve,
-                what.into(),
-                1,
-                batching.quantum(),
-                decisions,
-                best,
-            );
-        }
-        let (batched_s, sync_s) = (mode_per_decision[0], mode_per_decision[1]);
-        let framing = Ablation {
-            what: "serve batched vs per-request framing".into(),
-            fast_s: batched_s,
-            reference_s: sync_s,
-            speedup: sync_s / batched_s.max(f64::MIN_POSITIVE),
-        };
-        println!(
-            "  {:<36} fast {:>12.3e}s  reference {:>12.3e}s  speedup {:>6.2}x",
-            framing.what, framing.fast_s, framing.reference_s, framing.speedup
-        );
-        assert!(
-            framing.speedup >= 5.0,
-            "batched framing must be >=5x per-request framing (got {:.2}x)",
-            framing.speedup
-        );
-        ablations.push(framing);
-        let (serve_per_s, warm_per_s) = (1.0 / batched_s, 1.0 / warm_per_decision);
-        assert!(
-            serve_per_s >= 0.5 * warm_per_s,
-            "single-shard service throughput {serve_per_s:.3e}/s fell below half the \
-             in-proc warm path {warm_per_s:.3e}/s"
-        );
-
-        // Deterministic replay gate, then the timed trace rows.
-        let trace_cfg = nc_serve::fleet::request_config(11, 8, 250);
-        let want = to_csv(&replay_inproc(&trace_cfg, &[]).decisions);
-        for shards in [1usize, 2, 4] {
-            if shards > host_cpus {
-                println!(
-                    "  skipping shards={shards} (> host_cpus={host_cpus}: oversubscription, \
-                     not engine scaling)"
-                );
-                continue;
-            }
-            let batching = Batching::Batched { quantum };
-            let got = replay_service(&trace_cfg, shards, batching, &[], false);
-            assert_eq!(
-                want,
-                to_csv(&got.decisions),
-                "service replay diverged from the in-proc engine at {shards} shard(s)"
-            );
-            let decisions = got.decisions.len() as u64;
-            let mut best = f64::INFINITY;
-            for _ in 0..3 {
-                let t = Instant::now();
-                std::hint::black_box(replay_service(&trace_cfg, shards, batching, &[], false));
-                best = best.min(t.elapsed().as_secs_f64());
-            }
-            push_row(
-                &mut serve,
-                "serve trace replay, 8 tenants x 250 arrivals".into(),
-                shards,
-                quantum,
-                decisions,
-                best,
-            );
-        }
-    }
-
-    let baseline = Baseline {
-        schema: "nc-perfbase-v9",
-        command: "cargo run --release -p nc-bench --bin perfbase",
-        host_cpus,
-        bins,
-        sims,
-        admission,
-        serve,
-        ablations,
-        sweeps,
-        par_scaling,
-        publish_ablation,
-    };
     let root = nc_bench::results_dir()
         .parent()
         .expect("workspace root")
         .to_path_buf();
-    let path = match std::env::var_os("PERFBASE_OUT") {
-        Some(p) => std::path::PathBuf::from(p),
-        None => root.join("BENCH_9.json"),
-    };
-    let json = serde_json::to_string_pretty(&baseline).expect("serialize baseline");
+    let path =
+        std::env::var_os("PERFBASE_OUT").map_or_else(|| root.join("BENCH_10.json"), Into::into);
+    let json = serde_json::to_string_pretty(&snapshot).expect("serialize snapshot");
     std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    println!("[written {}]", path.display());
+    println!("[written {}: {} rows]", path.display(), snapshot.rows.len());
+
+    let base = perf::newest_baseline(&root, &path).and_then(|p| match Snapshot::load(&p) {
+        Ok(s) => Some((p, s)),
+        Err(e) => {
+            let p = p.display();
+            println!("perfbase: baseline {p} not comparable ({e}); checking floors only");
+            None
+        }
+    });
+    let report = snapshot.check(base.as_ref().map(|(_, s)| s));
+    for f in &report.findings {
+        println!("  {f}");
+    }
+    if let Some((p, _)) = &base {
+        let n = report.compared;
+        println!("perfbase: compared {n} time rows against {}", p.display());
+    }
+    if report.failed() {
+        println!(
+            "perfbase: FAIL — a time row >{}x slower than its baseline, or a ratio row below \
+             its floor (above)",
+            perf::SLOWDOWN
+        );
+        std::process::exit(1);
+    }
+}
+
+/// Wall time of one run of each sibling repro binary. `sweep` and
+/// `admit` run at the sizes of their committed `results/` artifacts,
+/// so every run rewrites `results/` byte for byte.
+fn bins(b: &mut Bench) {
+    let exe = std::env::current_exe().expect("current exe");
+    let runs: [(&str, &[(&str, &str)]); 8] = [
+        ("table1", &[]),
+        ("table3", &[]),
+        ("fig4", &[]),
+        ("fig10", &[]),
+        ("montecarlo", &[]),
+        ("overload", &[]),
+        ("sweep", &[("SWEEP_GRID", "4x4")]),
+        ("admit", &[("ADMIT_FLEET", "6"), ("ADMIT_REQS", "40")]),
+    ];
+    for (bin, env) in runs {
+        let params: Vec<String> = env.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        let path = exe.with_file_name(bin);
+        b.time(bin, &params.join(" "), || {
+            let status = Command::new(&path)
+                .envs(env.iter().copied())
+                .stdout(Stdio::null())
+                .status()
+                .unwrap_or_else(|e| panic!("spawn {}: {e}", path.display()));
+            assert!(status.success(), "{bin} exited with {status}");
+        });
+    }
+}
+
+fn lb(r: i64, b: i64) -> Curve {
+    shapes::leaky_bucket(Rat::int(r), Rat::int(b))
+}
+fn rl(r: i64, t: i64) -> Curve {
+    shapes::rate_latency(Rat::int(r), Rat::int(t))
+}
+/// A staircase-plus-rate curve with `n` breakpoints: neither concave
+/// nor convex, so it takes the general paths.
+fn stair(n: usize) -> Curve {
+    shapes::truncated_staircase(Rat::int(3), Rat::int(2), n)
+}
+
+/// Exact min-plus algebra: every dispatched fast path beside its
+/// general reference algorithm (`*_general`, equal by `prop_curves`),
+/// the operators and bounds the models are built from, and the `Rat`
+/// i64 lane beside its checked route.
+fn curves(b: &mut Bench) {
+    let convex = rl(1, 0).max(&rl(4, 3)).max(&rl(9, 6));
+    let convex2 = rl(2, 1).max(&rl(6, 5)).max(&rl(12, 9));
+    let concave = lb(2, 5).min(&lb(1, 9));
+    let concave2 = lb(3, 4).min(&lb(1, 12));
+    let stair16 = stair(16);
+    for (what, x, y) in [
+        ("conv convex x convex", &convex, &convex2),
+        ("conv concave x concave", &concave, &concave2),
+        ("conv staircase16 (pruned)", &stair16, &stair16),
+    ] {
+        let fast = b.time(what, "", || min_plus_conv(x, y));
+        let general = b.time(&format!("{what}, general"), "", || {
+            min_plus_conv_general(x, y)
+        });
+        b.speedup(&format!("{what}: fast path vs general"), "", general, fast);
+    }
+    // Operands are built outside the timed closures.
+    let (lb25, lb19, rl34, rl32) = (lb(2, 5), lb(1, 9), rl(3, 4), rl(3, 2));
+    let what = "deconv concave / rate-latency";
+    let fast = b.time(what, "", || min_plus_deconv(&concave, &rl34));
+    let general = b.time(&format!("{what}, general"), "", || {
+        min_plus_deconv_general(&concave, &rl34)
+    });
+    b.speedup(&format!("{what}: fast path vs general"), "", general, fast);
+
+    b.time("conv leaky bucket x leaky bucket", "", || {
+        min_plus_conv(&lb25, &lb19)
+    });
+    let delta = shapes::delta(Rat::int(4));
+    b.time("conv rate-latency x delay", "", || {
+        min_plus_conv(&rl32, &delta)
+    });
+    let rl23 = rl(2, 3);
+    for n in [2, 4, 8, 16] {
+        let x = stair(n);
+        let params = format!("n={n}");
+        b.time("conv staircase x rate-latency", &params, || {
+            min_plus_conv(&x, &rl23)
+        });
+    }
+    b.time("deconv leaky bucket / rate-latency", "", || {
+        min_plus_deconv(&lb25, &rl34)
+    });
+    let rl41 = rl(4, 1);
+    for n in [4, 16] {
+        let x = stair(n);
+        let params = format!("n={n}");
+        b.time("deconv staircase / rate-latency", &params, || {
+            min_plus_deconv(&x, &rl41)
+        });
+    }
+    let (alpha, beta, gamma) = (lb25, rl34, shapes::constant_rate(Rat::int(4)));
+    b.time("backlog bound", "", || bounds::backlog_bound(&alpha, &beta));
+    b.time("delay bound", "", || bounds::delay_bound(&alpha, &beta));
+    b.time("output bound with max service", "", || {
+        bounds::output_bound_with_max(&alpha, &gamma, &beta)
+    });
+    b.time("packetize", "", || {
+        packetizer::packetize(&alpha, &beta, &gamma, Rat::int(3))
+    });
+    for k in [2, 4, 8, 16] {
+        let chain: Vec<Curve> = (0..k).map(|i| rl(10 + i, 1 + i % 3)).collect();
+        b.time("concat rate-latency chain", &format!("k={k}"), || {
+            chain[1..]
+                .iter()
+                .fold(chain[0].clone(), |acc, c| min_plus_conv(&acc, c))
+        });
+    }
+    // Exact rational bounds vs grid-sampled f64 estimates (DESIGN §6):
+    // what exactness costs.
+    let alpha = lb(2, 5).min(&shapes::constant_rate(Rat::int(7)));
+    let beta = rl(3, 4).add(&rl(1, 1));
+    b.time("exact backlog + delay", "", || {
+        (
+            vertical_deviation(&alpha, &beta),
+            horizontal_deviation(&alpha, &beta),
+        )
+    });
+    for n in [64, 1024] {
+        b.time("sampled backlog + delay", &format!("n={n}"), || {
+            let horizon = Rat::int(50);
+            (
+                sampled_backlog(&alpha, &beta, horizon, n),
+                sampled_delay(&alpha, &beta, horizon, n),
+            )
+        });
+    }
+    b.time("closure concave", "", || subadditive_closure(&concave, 8));
+    b.time("closure rate-latency, 8 iterations", "", || {
+        subadditive_closure(&rl32, 8)
+    });
+
+    // `black_box` the operands so the sums are not folded at compile
+    // time.
+    let (ra, rb) = (rat(355, 113), rat(-217, 990));
+    let args = || (std::hint::black_box(ra), std::hint::black_box(rb));
+    let fast = b.time("Rat add", "", || {
+        let (x, y) = args();
+        x + y
+    });
+    let checked = b.time("Rat add, checked", "", || {
+        let (x, y) = args();
+        x.checked_add(y).unwrap()
+    });
+    b.speedup("Rat add: i64 lane vs checked", "", checked, fast);
+    let fast = b.time("Rat mul", "", || {
+        let (x, y) = args();
+        x * y
+    });
+    let checked = b.time("Rat mul, checked", "", || {
+        let (x, y) = args();
+        x.checked_mul(y).unwrap()
+    });
+    b.speedup("Rat mul: i64 lane vs checked", "", checked, fast);
+}
+
+/// The DES kernel: calendar structures, queue accounting, sampling, and
+/// an M/M/1 run with a realistic event mix.
+fn des(b: &mut Bench) {
+    fn tick(sim: &mut Sim<u64>) {
+        sim.state += 1;
+    }
+    fn burst(mut sim: Sim<u64>, n: u64) -> Sim<u64> {
+        for i in 0..n {
+            sim.schedule_at(Time::secs(i as f64 * 1e-6), tick);
+        }
+        sim.run();
+        sim
+    }
+    for n in [1_000, 10_000, 100_000] {
+        let params = format!("events={n}");
+        b.time("event burst, fresh calendar", &params, || {
+            burst(Sim::new(0), n).state
+        });
+    }
+    let mut pool = SimPool::new();
+    b.time("event burst, pooled calendar", "events=100000", || {
+        let sim = burst(pool.take(0u64), 100_000);
+        pool.put(sim)
+    });
+    fn chain(sim: &mut Sim<u64>) {
+        sim.state += 1;
+        if sim.state < 50_000 {
+            sim.schedule_in(Span::secs(1e-6), chain);
+        }
+    }
+    b.time(
+        "self-rescheduling chain, heap calendar",
+        "events=50000",
+        || {
+            let mut sim = Sim::new(0u64);
+            sim.schedule_at(Time::ZERO, chain);
+            sim.run();
+            sim.state
+        },
+    );
+    // The same churn on a 4-slot agenda (a 3-stage pipeline plus its
+    // source), the structure on the streamsim hot path.
+    b.time(
+        "self-rescheduling chain, slot agenda",
+        "events=50000",
+        || {
+            let mut a: SlotAgenda<Time> = SlotAgenda::new(4);
+            a.arm(0, Time::ZERO);
+            let mut popped = 0u64;
+            while let Some((slot, at)) = a.pop() {
+                popped += 1;
+                if popped >= 50_000 {
+                    break;
+                }
+                a.arm((slot + 1) % 4, at + Span::secs(1e-6));
+            }
+            popped
+        },
+    );
+    b.time("byte queue put + get", "ops=1000", || {
+        let mut q = ByteQueue::bounded(Time::ZERO, 1 << 20);
+        for i in 0..1000u64 {
+            let t = Time::secs(i as f64 * 1e-6);
+            q.put(t, 512);
+            q.get(t, 512);
+        }
+        q.total_out()
+    });
+    let mut rng = ChaCha8Rng::seed_from_u64(1);
+    for (what, d) in [
+        ("sample uniform", Dist::Uniform { lo: 1.0, hi: 2.0 }),
+        ("sample exponential", Dist::Exponential { mean: 1.5 }),
+        ("sample constant", Dist::Constant(1.0)),
+    ] {
+        b.time(what, "", || d.sample(&mut rng));
+    }
+    b.time("M/M/1 at load 0.5", "jobs=10000", || mm1(10_000));
+}
+
+/// An inline M/M/1 queue at load 0.5 run until `jobs` departures:
+/// arrivals, departures and state updates in the proportions of a real
+/// model.
+fn mm1(jobs: u32) -> u32 {
+    struct St {
+        rng: ChaCha8Rng,
+        queued: u32,
+        done: u32,
+        jobs: u32,
+    }
+    fn arrive(sim: &mut Sim<St>) {
+        sim.state.queued += 1;
+        if sim.state.queued == 1 {
+            start_service(sim);
+        }
+        let gap = Dist::Exponential { mean: 2.0 }.sample(&mut sim.state.rng);
+        if sim.state.done < sim.state.jobs {
+            sim.schedule_in(Span::secs(gap), arrive);
+        }
+    }
+    fn start_service(sim: &mut Sim<St>) {
+        let service = Dist::Exponential { mean: 1.0 }.sample(&mut sim.state.rng);
+        sim.schedule_in(Span::secs(service), |sim| {
+            sim.state.queued -= 1;
+            sim.state.done += 1;
+            if sim.state.queued > 0 {
+                start_service(sim);
+            }
+        });
+    }
+    let mut sim = Sim::new(St {
+        rng: ChaCha8Rng::seed_from_u64(9),
+        queued: 0,
+        done: 0,
+        jobs,
+    });
+    sim.schedule_at(Time::ZERO, arrive);
+    sim.run();
+    sim.state.done
+}
+
+/// The workload kernels of Table 2 (its measured side), each on the
+/// data it sees in the paper's pipelines.
+fn kernels(b: &mut Bench) {
+    let aes = Aes256::new(&[7u8; 32]);
+    let iv = [1u8; 16];
+    for size in [64usize << 10, 1 << 20] {
+        let params = format!("bytes={size}");
+        let text = text_like(size);
+        let packed = lz4::compress(&text);
+        b.time("lz4 compress", &params, || lz4::compress(&text));
+        b.time("lz4 decompress", &params, || {
+            lz4::decompress(&packed, size).unwrap()
+        });
+        let mut buf = vec![0xA5u8; size];
+        b.time("aes-256-cbc encrypt", &params, || {
+            cbc_encrypt_raw(&aes, &iv, &mut buf)
+        });
+        b.time("aes-256-cbc decrypt", &params, || {
+            cbc_decrypt_raw(&aes, &iv, &mut buf).unwrap()
+        });
+    }
+    let mut rng = ChaCha8Rng::seed_from_u64(2);
+    let dna = random_dna(1 << 20, &mut rng);
+    b.time("fa2bit pack", "bytes=1048576", || fa2bit(&dna));
+    let mut rng = ChaCha8Rng::seed_from_u64(3);
+    let query = random_dna(512, &mut rng);
+    let db = random_dna(1 << 20, &mut rng);
+    let (packed_query, packed_db) = (fa2bit(&query), fa2bit(&db));
+    b.time("blastn search, 512 b query", "bytes=1048576", || {
+        blast_search(&query, &db, &UngappedParams::default())
+    });
+    let index = QueryIndex::build(&packed_query, query.len());
+    b.time("blastn seed match, 512 b query", "bytes=1048576", || {
+        seed_match(&packed_db, db.len(), &index)
+    });
+    b.time("blastn query index build", "bytes=512", || {
+        QueryIndex::build(&packed_query, query.len())
+    });
+}
+
+/// `len` bytes of space-separated words from a small vocabulary: text
+/// the compressor finds structure in.
+fn text_like(len: usize) -> Vec<u8> {
+    let vocab: [&[u8]; 8] = [
+        b"stream", b"data", b"node", b"queue", b"rate", b"burst", b"delay", b"curve",
+    ];
+    let mut rng = ChaCha8Rng::seed_from_u64(1);
+    let mut v = Vec::with_capacity(len + 8);
+    while v.len() < len {
+        v.extend_from_slice(vocab[rng.gen_range(0..vocab.len())]);
+        v.push(b' ');
+    }
+    v.truncate(len);
+    v
+}
+
+/// Model construction and queries, and the two closed forms that stand
+/// in for simulation: flow-controlled bounds for bounded queues, and
+/// the stochastic tail-bound ladder.
+fn models(b: &mut Bench) {
+    let isolated = blast::isolated_pipeline();
+    b.time("build BLAST isolated", "", || isolated.build_model());
+    let scenarios = [
+        bitw::Scenario::Pessimistic,
+        bitw::Scenario::Average,
+        bitw::Scenario::Optimistic,
+    ]
+    .map(bitw::pipeline);
+    b.time("build BITW, 3 scenarios", "", || {
+        scenarios.each_ref().map(Pipeline::build_model)
+    });
+    let model = isolated.build_model();
+    b.time("BLAST heuristic backlog + delay", "", || {
+        (model.heuristic_backlog(), model.heuristic_delay())
+    });
+    b.time("BLAST subset analysis, stages 3..5", "", || {
+        model.subset(3, 5)
+    });
+
+    // Closed-form backpressure bounds vs DES per grid point, on a
+    // 16-point overload grid: offered load 40→160 MiB/s against a
+    // ~100 MiB/s kernel behind a 4 MiB bounded queue, 16 GiB per point.
+    // The closed form evaluates `nc_core::flowctl` on the deterministic
+    // twin through one fresh ModelCache per sweep, as `nc_sweep::run`
+    // workers do; the reference runs the bounded-queue DES at its best
+    // (deterministic cycle-jump on).
+    let kernel = Node::new(
+        "kernel",
+        NodeKind::Compute,
+        StageRates::new(mib_per_s(95.0), mib_per_s(100.0), mib_per_s(105.0)),
+        Rat::new(1, 1000),
+        Rat::int(64 << 10),
+        Rat::int(64 << 10),
+    );
+    let grid: Vec<Pipeline> = (0..16)
+        .map(|k| {
+            let rate = mib_per_s(40.0 + 120.0 * k as f64 / 15.0);
+            let source = Source {
+                rate,
+                burst: Rat::int(64 << 10),
+            };
+            Pipeline::new("bp-grid", source, vec![kernel.clone()])
+        })
+        .collect();
+    let cfg = SimConfig {
+        seed: 5,
+        source_chunk: Some(64 << 10),
+        queue_capacity: Some(4 << 20),
+        service_model: ServiceModel::Deterministic,
+        ..untraced(16 << 30)
+    };
+    let closed = b.time("flowctl bounds, 16-point overload grid", "", || {
+        let mut cache = ModelCache::new();
+        for p in &grid {
+            let det = p.deterministic_variant();
+            let w = flow_windows(&det, &cfg).expect("valid bounded caps");
+            let m = det.flowctl_model_cached(&w, &mut cache);
+            assert!(
+                m.delay.is_finite() && m.backlog.is_finite(),
+                "backpressured bounds must stay finite in overload"
+            );
+        }
+    });
+    let simulated = b.time("bounded-queue DES, 16-point overload grid", "", || {
+        grid.iter().map(|p| simulate(p, &cfg).events).sum::<u64>()
+    });
+    b.speedup(
+        "flowctl bounds vs DES per point",
+        "floor=10",
+        simulated,
+        closed,
+    );
+
+    // Stochastic tail bounds vs the Monte Carlo estimator they certify:
+    // the §E-tail budget ladder (ε ∈ {0.1, 0.01, 0.001}) for the
+    // faulted BITW scenario through the prefix-memoized closed form,
+    // against the 10⁴-replica DES quantile estimator `results/tail.csv`
+    // validates the bounds with.
+    let scenario = tailload::scenarios()
+        .into_iter()
+        .find(|s| s.name == "bitw-faulted")
+        .expect("bitw-faulted tail scenario");
+    let closed = b.time("tail bounds, bitw-faulted, 3 budgets", "", || {
+        let mut cache = ModelCache::new();
+        let spec = scenario.spec();
+        for eps in [rat(1, 10), rat(1, 100), rat(1, 1000)] {
+            let tb = scenario.pipeline.tail_bounds_cached(&spec, eps, &mut cache);
+            assert!(
+                tb.delay.is_finite() && tb.backlog.is_finite(),
+                "tail bounds must stay finite for the BITW scenario"
+            );
+        }
+    });
+    let mc = b.time(
+        "Monte Carlo quantiles, bitw-faulted",
+        "replicas=10000",
+        || tailload::replicate(&scenario, 10_000, 1),
+    );
+    b.speedup("tail bounds vs Monte Carlo", "floor=10", mc, closed);
+}
+
+/// The BITW simulation configuration with tracing off — the scale
+/// setting, where live memory is the in-flight input window.
+fn untraced(total_input: u64) -> SimConfig {
+    SimConfig {
+        trace: false,
+        total_input,
+        ..bitw::sim_config(1)
+    }
+}
+
+/// Time `simulate(p, cfg)` as a `sim` row, plus its event count.
+fn sim(b: &mut Bench, what: &str, p: &Pipeline, cfg: &SimConfig) -> f64 {
+    let mut events = 0;
+    let s = b.time(what, "", || events = simulate(p, cfg).events);
+    b.row(what, "", "events", events as f64);
+    s
+}
+
+/// The simulators: pooled arenas vs fresh storage, the thinned engine
+/// vs the frozen reference engine (bit-identical, by
+/// `prop_engine_equiv`), deterministic cycle-jump vs exact stepping,
+/// the scale runs, the queue-discipline and chunk-size sensitivities,
+/// and the striped 1000-tenant fleet.
+fn sims(b: &mut Bench) {
+    let (blast_p, bitw_p) = (blast::deployed_pipeline(), bitw::sim_pipeline());
+    let mut arena = SimArena::new();
+
+    let blast_64 = SimConfig {
+        total_input: 64 << 20,
+        ..blast::sim_config(1)
+    };
+    let pooled = b.time("streamsim BLAST 64 MiB, pooled arena", "", || {
+        simulate_in(&mut arena, &blast_p, &blast_64)
+    });
+    let fresh = sim(b, "streamsim BLAST 64 MiB", &blast_p, &blast_64);
+    b.speedup(
+        "BLAST 64 MiB: pooled arena vs fresh storage",
+        "",
+        fresh,
+        pooled,
+    );
+
+    let bitw_2 = bitw::sim_config(1);
+    let pooled = b.time("streamsim BITW 2 MiB, pooled arena", "", || {
+        simulate_in(&mut arena, &bitw_p, &bitw_2)
+    });
+    let fresh = sim(b, "streamsim BITW 2 MiB", &bitw_p, &bitw_2);
+    b.speedup(
+        "BITW 2 MiB: pooled arena vs fresh storage",
+        "",
+        fresh,
+        pooled,
+    );
+    let bitw_2_untraced = SimConfig {
+        seed: 3,
+        ..untraced(2 << 20)
+    };
+    b.time("streamsim BITW 2 MiB untraced, pooled arena", "", || {
+        simulate_in(&mut arena, &bitw_p, &bitw_2_untraced)
+    });
+
+    let bitw_64 = untraced(64 << 20);
+    let thinned = sim(b, "streamsim BITW 64 MiB", &bitw_p, &bitw_64);
+    let reference = b.time("streamsim BITW 64 MiB, reference engine", "", || {
+        simulate_reference(&bitw_p, &bitw_64)
+    });
+    b.speedup(
+        "BITW 64 MiB: thinned vs reference engine",
+        "",
+        reference,
+        thinned,
+    );
+    let traced = SimConfig {
+        total_input: 64 << 20,
+        ..bitw::sim_config(1)
+    };
+    sim(b, "streamsim BITW 64 MiB traced", &bitw_p, &traced);
+    sim(b, "streamsim BITW 1 GiB", &bitw_p, &untraced(1 << 30));
+
+    // Deterministic service with bounded queues: the periodic steady
+    // state is advanced in closed form by the cycle-jump fast-forward
+    // (its `events` count the virtual events skipped).
+    let det = |total_input: u64, fast_forward: bool| SimConfig {
+        service_model: ServiceModel::Deterministic,
+        queue_capacity: Some(64 << 10),
+        fast_forward,
+        ..untraced(total_input)
+    };
+    let jump = sim(
+        b,
+        "streamsim BITW 1 GiB det, cycle-jump",
+        &bitw_p,
+        &det(1 << 30, true),
+    );
+    let exact = sim(
+        b,
+        "streamsim BITW 1 GiB det, exact stepping",
+        &bitw_p,
+        &det(1 << 30, false),
+    );
+    b.speedup(
+        "BITW 1 GiB det: cycle-jump vs exact stepping",
+        "",
+        exact,
+        jump,
+    );
+    sim(
+        b,
+        "streamsim BITW 16 GiB det, cycle-jump",
+        &bitw_p,
+        &det(16 << 30, true),
+    );
+
+    // Queue discipline: the paper's unbounded queues vs backpressure.
+    for bounded in [false, true] {
+        let kib = [2048u64, 512, 256, 768, 1536, 192, 384, 48];
+        let cfg = SimConfig {
+            total_input: 32 << 20,
+            queue_capacities: bounded.then(|| kib.iter().map(|k| k << 10).collect()),
+            ..blast::sim_config(1)
+        };
+        let params = format!("bounded={}", u8::from(bounded));
+        b.time("streamsim BLAST 32 MiB", &params, || {
+            simulate(&blast_p, &cfg)
+        });
+    }
+    // Chunk size: smaller chunks mean more events per byte.
+    for chunk in [512u64, 1024, 4096] {
+        let mut p = bitw::sim_pipeline();
+        for n in &mut p.nodes {
+            n.job_in = Rat::int(chunk as i64);
+            n.job_out = Rat::int(chunk as i64);
+        }
+        let cfg = SimConfig {
+            source_chunk: Some(chunk),
+            ..bitw::sim_config(1)
+        };
+        let params = format!("chunk={chunk}");
+        b.time("streamsim BITW 2 MiB, uniform chunks", &params, || {
+            simulate(&p, &cfg)
+        });
+    }
+
+    // 10³ seeded tenants striped over OS workers, one pooled arena per
+    // worker (`nc_bench::fleet`; its CSV is byte-identical for any
+    // worker count, which check.sh asserts).
+    let fleet = nc_bench::fleet::FleetConfig {
+        tenants: 1000,
+        input_bytes: 256 << 10,
+    };
+    let what = "streamsim fleet 1000 tenants x 256 KiB";
+    let mut events = 0;
+    for w in b.widths(&[1, 2, 4]) {
+        b.time(what, &format!("workers={w}"), || {
+            events = nc_bench::fleet::run_striped(&fleet, w)
+                .iter()
+                .map(|r| r.events)
+                .sum();
+        });
+    }
+    b.row(what, "", "events", events as f64);
+}
+
+/// The stage-parallel PDES engine (DESIGN §12) against its sequential
+/// twin rows from [`sims`], and its watermark publication batching.
+/// Results are bit-identical across worker counts (`prop_par`), so wall
+/// time is the only variable.
+fn par(b: &mut Bench) {
+    let p = bitw::sim_pipeline();
+    for (what, total) in [
+        ("streamsim BITW 64 MiB", 64u64 << 20),
+        ("streamsim BITW 1 GiB", 1 << 30),
+    ] {
+        let seq = b.seconds("sim", what, "");
+        for w in b.widths(&[1, 2, 4]) {
+            let cfg = SimConfig {
+                workers: Some(w),
+                ..untraced(total)
+            };
+            if let Some(reason) = par_fallback(&cfg) {
+                println!("  note: workers={w} requested but running sequentially: {reason}");
+            }
+            let params = format!("workers={w}");
+            let t = b.time(what, &params, || simulate(&p, &cfg));
+            b.speedup(&format!("{what}: parallel vs sequential"), &params, seq, t);
+        }
+    }
+    // Per-event publication (`NC_PUB_QUANTUM=1`) vs the default
+    // 256-event quantum at one worker. The quantum changes publication
+    // timing only, never results (`prop_par`); publish counts come from
+    // the link layer's global flush counter.
+    let cfg = SimConfig {
+        workers: Some(1),
+        ..untraced(64 << 20)
+    };
+    let what = "streamsim BITW 64 MiB";
+    for quantum in [256, 1] {
+        std::env::set_var("NC_PUB_QUANTUM", quantum.to_string());
+        nc_des::link::take_publish_count();
+        simulate(&p, &cfg);
+        let publishes = nc_des::link::take_publish_count() as f64;
+        b.row(
+            what,
+            &format!("workers=1 quantum={quantum}"),
+            "publishes",
+            publishes,
+        );
+    }
+    // Still at quantum 1; the quantum-256 time is the workers=1 row.
+    let per_event = b.time(what, "workers=1 quantum=1", || simulate(&p, &cfg));
+    std::env::remove_var("NC_PUB_QUANTUM");
+    let batched = b.seconds("par", what, "workers=1");
+    b.speedup(
+        "BITW 64 MiB: publication quantum 256 vs 1",
+        "workers=1",
+        per_event,
+        batched,
+    );
+}
+
+/// The batch sweep engine, cached and fanned out over `NC_THREADS`
+/// workers, against the serial uncached loop on the tracked BITW 16x16
+/// surface. Surface equality is asserted before timing.
+fn sweep(b: &mut Bench) {
+    let spec = nc_bench::bitw_sweep_spec(16, 16);
+    let cached = nc_sweep::run(&spec);
+    assert_eq!(
+        cached.to_csv(),
+        nc_sweep::run_serial_uncached(&spec).to_csv(),
+        "cached sweep must reproduce the uncached surface exactly"
+    );
+    let what = "BITW 16x16 block size x PCIe egress rate, 10 horizons";
+    let params = format!("workers={}", nc_sweep::workers());
+    let fast = b.time(what, &params, || nc_sweep::run(&spec));
+    let slow = b.time(what, "uncached serial", || {
+        nc_sweep::run_serial_uncached(&spec)
+    });
+    b.speedup(
+        "BITW 16x16: cached parallel vs uncached serial",
+        &params,
+        slow,
+        fast,
+    );
+    let st = &cached.stats;
+    for (metric, n) in [
+        ("prefix_hits", st.prefix_hits),
+        ("prefix_misses", st.prefix_misses),
+        ("op_hits", st.op_hits()),
+        ("op_misses", st.op_misses()),
+        ("interned", st.interned),
+    ] {
+        b.row(what, &params, metric, n as f64);
+    }
+}
+
+const WARM_PAIR: &str = "admit+depart pair, warm engine";
+
+/// The admission engine (DESIGN §13): the warm incremental decision
+/// path, a full trace replay with onboarding amortized in, and the
+/// cold-start oracle (full model rebuild + general curve algebra per
+/// decision) it is measured against.
+fn admission(b: &mut Bench) {
+    let cfg = admitload::request_config(42, 1, 200);
+    let mut shard = admitload::build_shard(&cfg, &[0]);
+    let (tid, class) = (shard.tenants[0].1, shard.classes[0]);
+    let warm = b.time_per_decision(WARM_PAIR, "", 2, || {
+        let d = shard.engine.decide(tid, class, 0).expect("in range");
+        if let Some(pl) = d.placement() {
+            shard
+                .engine
+                .depart(tid, class, 0, pl)
+                .expect("resident flow");
+        }
+        d
+    });
+    let trace_cfg = admitload::request_config(7, 4, 250);
+    let trace = nc_workloads::requests::generate(&trace_cfg);
+    let tenants: Vec<usize> = (0..4).collect();
+    let (_, stats) = admitload::replay_shard(&trace_cfg, &trace, &tenants);
+    let what = "trace replay, 4 tenants x 250 arrivals (onboarding included)";
+    b.time_per_decision(what, "", stats.decisions as usize, || {
+        admitload::replay_shard(&trace_cfg, &trace, &tenants)
+    });
+    let what = "cold-start full recompute (oracle)";
+    let cold = b.time_per_decision(what, "", 1, admitload::oracle_decision(&trace_cfg, 0));
+    b.speedup("incremental vs full recompute", "", cold, warm);
+}
+
+/// The admission service front (DESIGN §16): the `nc-serve` shard pool
+/// behind the full wire codec, every frame encoded and decoded in both
+/// directions, so only the socket syscalls are missing. Warm pairs
+/// mirror [`WARM_PAIR`], batched and one frame at a time (parking
+/// until each response returns); trace rows replay the canonical
+/// 8-tenant fleet per shard count, pool spawn and join included, after
+/// a byte comparison against the in-proc engine.
+fn serve(b: &mut Bench) {
+    use nc_serve::proto::{EventKind, ReqFrame, RequestFrame};
+    use nc_serve::replay::{drive, replay_inproc, replay_service, to_csv, Batching};
+    use nc_serve::ShardPool;
+
+    let frames: Vec<RequestFrame> = (0..4_000u64)
+        .map(|seq| {
+            let event = [EventKind::Arrive, EventKind::Depart][seq as usize % 2];
+            RequestFrame::Request(ReqFrame {
+                seq,
+                time_s: seq as f64 * 1e-3,
+                tenant: 0,
+                class: 0,
+                attach: 0,
+                event,
+                arrive_ix: 0,
+            })
+        })
+        .collect();
+    let cfg = admitload::request_config(42, 1, 200);
+    let batched = Batching::Batched { quantum: 256 };
+    let mut per_decision = Vec::new();
+    for (what, batching) in [
+        ("serve warm pairs, batched framing", batched),
+        (
+            "serve warm pairs, per-request framing",
+            Batching::PerRequest,
+        ),
+    ] {
+        let mut pool = ShardPool::new(&cfg, 1, batching.quantum(), false);
+        let params = format!("shards=1 quantum={}", batching.quantum());
+        per_decision.push(b.time_per_decision(what, &params, frames.len(), || {
+            let r = drive(&mut pool, &frames, batching);
+            assert_eq!(r.len(), frames.len(), "lost responses in {what}");
+        }));
+        pool.join();
+    }
+    let warm = b.seconds("admit", WARM_PAIR, "");
+    let (batched_s, per_request_s) = (per_decision[0], per_decision[1]);
+    b.speedup(
+        "batched vs per-request framing",
+        "floor=5",
+        per_request_s,
+        batched_s,
+    );
+    b.speedup("service vs in-proc warm path", "floor=0.5", warm, batched_s);
+
+    let trace_cfg = nc_serve::fleet::request_config(11, 8, 250);
+    let want = to_csv(&replay_inproc(&trace_cfg, &[]).decisions);
+    for shards in b.widths(&[1, 2, 4]) {
+        let got = replay_service(&trace_cfg, shards, batched, &[], false);
+        assert_eq!(
+            want,
+            to_csv(&got.decisions),
+            "service replay diverged from the in-proc engine at {shards} shard(s)"
+        );
+        let what = "serve trace replay, 8 tenants x 250 arrivals";
+        let params = format!("shards={shards} quantum=256");
+        b.time_per_decision(what, &params, got.decisions.len(), || {
+            replay_service(&trace_cfg, shards, batched, &[], false)
+        });
+    }
 }

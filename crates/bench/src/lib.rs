@@ -12,15 +12,19 @@
 //! | `fig10`  | Figure 10 — bump-in-the-wire curves + stairstep |
 //! | `repro`  | everything above, writing `results/*.{txt,csv,json}` |
 //!
-//! Criterion microbenches cover the substrates: exact curve algebra
-//! (`curve_ops`), the DES kernel (`des_engine`), the workload kernels
-//! (`kernels` — the measurement side of Table 2), and full model
-//! construction + simulation (`pipelines`).
+//! The `perfbase` binary is the one performance harness: it times the
+//! substrates (curve algebra, the DES kernel, the workload kernels,
+//! model construction), the simulators, the sweep engine, the admission
+//! engine and its service front, and the repro binaries above, as rows
+//! of the [`perf`] schema. [`perf`] also holds the baseline comparison
+//! behind `scripts/perfgate.sh`.
 
 #![warn(missing_docs)]
 
 use std::fs;
 use std::path::{Path, PathBuf};
+
+pub mod perf;
 
 /// Resolve (and create) the `results/` directory at the workspace root.
 pub fn results_dir() -> PathBuf {
@@ -143,8 +147,8 @@ pub mod admitload {
     //! The fleet builders and the decision-row codec are canonical in
     //! `nc-serve` (the networked front replays the identical workload
     //! over its wire protocol); this module re-exports them and keeps
-    //! the sharded in-proc replay used by the `admit` bin, the
-    //! `admission` criterion bench, and the `perfbase` throughput row.
+    //! the sharded in-proc replay used by the `admit` bin and the
+    //! `perfbase` admission rows.
     //! Decisions are independent across tenants (each tenant has its
     //! own path state; the model cache is only consulted at
     //! onboarding), so a sharded replay that processes whole tenants
@@ -251,12 +255,12 @@ pub mod admitload {
         (rows, shard.engine.stats())
     }
 
-    /// Time the cold-start baseline: the same decision answered by
-    /// [`nc_admit::oracle::decide_full`] (full model rebuild + general
-    /// curve algebra) against a mid-load resident population. Returns
-    /// seconds per decision (best of `passes` batches of `iters`).
-    pub fn oracle_per_decision_s(config: &RequestConfig, tenant: usize, iters: u32) -> f64 {
-        // Build a representative resident population by shadow-replay.
+    /// The cold-start baseline as a closure: each call answers one
+    /// decision through [`nc_admit::oracle::decide_full`] (full model
+    /// rebuild + general curve algebra) for `tenant`, against the
+    /// mid-load resident population a shadow replay of its requests
+    /// leaves behind.
+    pub fn oracle_decision(config: &RequestConfig, tenant: usize) -> impl FnMut() {
         let mut shard = build_shard(config, &[tenant]);
         let tid = shard.tenants[0].1;
         let mut resident: Vec<(usize, ClassId)> = Vec::new();
@@ -273,19 +277,17 @@ pub mod admitload {
         let pipeline = tenant_pipeline(tenant);
         let budget = Some(tenant_budget(tenant));
         let classes = flow_classes(config);
-        let candidate = &classes[0];
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let t = std::time::Instant::now();
-            for _ in 0..iters {
-                std::hint::black_box(oracle::decide_full(
-                    &pipeline, budget, &classes, &resident, candidate, 0,
-                ))
-                .ok();
-            }
-            best = best.min(t.elapsed().as_secs_f64() / iters as f64);
+        move || {
+            std::hint::black_box(oracle::decide_full(
+                &pipeline,
+                budget,
+                &classes,
+                &resident,
+                &classes[0],
+                0,
+            ))
+            .ok();
         }
-        best
     }
 
     #[cfg(test)]

@@ -260,7 +260,7 @@ impl Pipeline {
     /// Panics if the pipeline is invalid; call [`Pipeline::validate`]
     /// first for a recoverable error.
     pub fn build_model(&self) -> PipelineModel {
-        self.build_model_with(&mut DirectOps)
+        self.build("build_model", None, None)
     }
 
     /// Build the model reusing `cache` across calls.
@@ -282,70 +282,7 @@ impl Pipeline {
     /// # Panics
     /// Panics if the pipeline is invalid.
     pub fn build_model_cached(&self, cache: &mut ModelCache) -> PipelineModel {
-        if let Err(e) = self.validate() {
-            panic!("Pipeline::build_model_cached on invalid pipeline: {e}");
-        }
-        let norms = self.normalization_factors();
-        let arrival = shapes::leaky_bucket(self.source.rate, self.source.burst);
-        let sigs: Arc<[StageSig]> = self.nodes.iter().map(StageSig::of).collect();
-        let key_of = |len: usize| PrefixKey {
-            source_rate: self.source.rate,
-            source_burst: self.source.burst,
-            len,
-            stages: Arc::clone(&sigs),
-        };
-        let ModelCache {
-            curves, prefixes, ..
-        } = cache;
-
-        // Longest previously analyzed prefix of this cascade.
-        let mut st = CascadeState::start(&self.source, &arrival);
-        let mut models: Vec<Arc<NodeModel>> = Vec::with_capacity(self.nodes.len());
-        let mut start = 0;
-        for len in (1..=self.nodes.len()).rev() {
-            if let Some(e) = prefixes.get(&key_of(len)) {
-                st = e.state.clone();
-                models = e.models.clone();
-                start = len;
-                curves.stats_mut().prefix_hits += 1;
-                break;
-            }
-        }
-        if start == 0 {
-            curves.stats_mut().prefix_misses += 1;
-        }
-
-        // Analyze the remaining stages, memoizing every new prefix.
-        for (i, (node, norm)) in self.nodes.iter().zip(&norms).enumerate().skip(start) {
-            models.push(Arc::new(stage_step(node, *norm, &mut st, curves, None)));
-            prefixes.insert(
-                key_of(i + 1),
-                PrefixEntry {
-                    state: st.clone(),
-                    models: models.clone(),
-                },
-            );
-        }
-
-        self.assemble(arrival, models, st)
-    }
-
-    fn build_model_with(&self, ops: &mut dyn CurveOps) -> PipelineModel {
-        if let Err(e) = self.validate() {
-            panic!("Pipeline::build_model on invalid pipeline: {e}");
-        }
-        let norms = self.normalization_factors();
-
-        // Source arrival curve (input-referred by definition).
-        let arrival = shapes::leaky_bucket(self.source.rate, self.source.burst);
-
-        // Per-node curves and the §3 aggregation-latency recurrence.
-        let mut st = CascadeState::start(&self.source, &arrival);
-        let mut per_node: Vec<Arc<NodeModel>> = Vec::with_capacity(self.nodes.len());
-        for (i, n) in self.nodes.iter().enumerate() {
-            per_node.push(Arc::new(stage_step(n, norms[i], &mut st, ops, None)));
-        }
-        self.assemble(arrival, per_node, st)
+        self.build("build_model_cached", None, Some(cache))
     }
 
     /// Build the model under per-stage stochastic envelopes
@@ -359,29 +296,7 @@ impl Pipeline {
     /// Panics if the pipeline is invalid or `envs.len()` does not
     /// match the node count.
     pub fn stoch_model(&self, envs: &[StageEnvelope]) -> PipelineModel {
-        assert_eq!(
-            envs.len(),
-            self.nodes.len(),
-            "one envelope per pipeline node"
-        );
-        if let Err(e) = self.validate() {
-            panic!("Pipeline::stoch_model on invalid pipeline: {e}");
-        }
-        let norms = self.normalization_factors();
-        let arrival = shapes::leaky_bucket(self.source.rate, self.source.burst);
-        let mut st = CascadeState::start(&self.source, &arrival);
-        let mut per_node: Vec<Arc<NodeModel>> = Vec::with_capacity(self.nodes.len());
-        for (i, n) in self.nodes.iter().enumerate() {
-            let env = active_envelope(n, &envs[i]);
-            per_node.push(Arc::new(stage_step(
-                n,
-                norms[i],
-                &mut st,
-                &mut DirectOps,
-                env,
-            )));
-        }
-        self.assemble(arrival, per_node, st)
+        self.build("stoch_model", Some(envs), None)
     }
 
     /// [`Pipeline::stoch_model`] through a [`ModelCache`]: the stage
@@ -399,23 +314,60 @@ impl Pipeline {
         envs: &[StageEnvelope],
         cache: &mut ModelCache,
     ) -> PipelineModel {
-        assert_eq!(
-            envs.len(),
-            self.nodes.len(),
-            "one envelope per pipeline node"
-        );
-        if let Err(e) = self.validate() {
-            panic!("Pipeline::stoch_model_cached on invalid pipeline: {e}");
+        self.build("stoch_model_cached", Some(envs), Some(cache))
+    }
+
+    /// The one cascade builder behind the four public model builds.
+    /// Stage `i` runs under `envs[i]` when envelopes are given (plain
+    /// builds pass `None`). Without a cache every stage is analyzed
+    /// directly; with one, the longest memoized prefix is replayed and
+    /// every newly analyzed prefix is memoized, all min-plus work going
+    /// through the shared curve cache. `api` names the caller in the
+    /// invalid-pipeline panic.
+    fn build(
+        &self,
+        api: &str,
+        envs: Option<&[StageEnvelope]>,
+        cache: Option<&mut ModelCache>,
+    ) -> PipelineModel {
+        if let Some(envs) = envs {
+            assert_eq!(
+                envs.len(),
+                self.nodes.len(),
+                "one envelope per pipeline node"
+            );
         }
+        if let Err(e) = self.validate() {
+            panic!("Pipeline::{api} on invalid pipeline: {e}");
+        }
+        let env = |i: usize| envs.and_then(|envs| active_envelope(&self.nodes[i], &envs[i]));
         let norms = self.normalization_factors();
+        // Source arrival curve (input-referred by definition).
         let arrival = shapes::leaky_bucket(self.source.rate, self.source.burst);
-        let sigs: Arc<[StageSig]> = self
-            .nodes
-            .iter()
-            .zip(envs)
-            .map(|(n, e)| {
-                let mut sig = StageSig::of(n);
-                sig.envelope = active_envelope(n, e).map(|e| (e.rate, e.assume_no_fault));
+        // Per-node curves and the §3 aggregation-latency recurrence.
+        let mut st = CascadeState::start(&self.source, &arrival);
+        let mut models: Vec<Arc<NodeModel>> = Vec::with_capacity(self.nodes.len());
+
+        let Some(ModelCache {
+            curves, prefixes, ..
+        }) = cache
+        else {
+            for (i, (node, norm)) in self.nodes.iter().zip(&norms).enumerate() {
+                models.push(Arc::new(stage_step(
+                    node,
+                    *norm,
+                    &mut st,
+                    &mut DirectOps,
+                    env(i),
+                )));
+            }
+            return self.assemble(arrival, models, st);
+        };
+
+        let sigs: Arc<[StageSig]> = (0..self.nodes.len())
+            .map(|i| {
+                let mut sig = StageSig::of(&self.nodes[i]);
+                sig.envelope = env(i).map(|e| (e.rate, e.assume_no_fault));
                 sig
             })
             .collect();
@@ -425,12 +377,8 @@ impl Pipeline {
             len,
             stages: Arc::clone(&sigs),
         };
-        let ModelCache {
-            curves, prefixes, ..
-        } = cache;
 
-        let mut st = CascadeState::start(&self.source, &arrival);
-        let mut models: Vec<Arc<NodeModel>> = Vec::with_capacity(self.nodes.len());
+        // Longest previously analyzed prefix of this cascade.
         let mut start = 0;
         for len in (1..=self.nodes.len()).rev() {
             if let Some(e) = prefixes.get(&key_of(len)) {
@@ -445,9 +393,9 @@ impl Pipeline {
             curves.stats_mut().prefix_misses += 1;
         }
 
+        // Analyze the remaining stages, memoizing every new prefix.
         for (i, (node, norm)) in self.nodes.iter().zip(&norms).enumerate().skip(start) {
-            let env = active_envelope(node, &envs[i]);
-            models.push(Arc::new(stage_step(node, *norm, &mut st, curves, env)));
+            models.push(Arc::new(stage_step(node, *norm, &mut st, curves, env(i))));
             prefixes.insert(
                 key_of(i + 1),
                 PrefixEntry {

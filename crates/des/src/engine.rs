@@ -52,8 +52,7 @@ struct EventVTable<S: 'static> {
 /// three words — vtable pointer plus payload — so calendar entries stay
 /// small enough that heap sifts are cheap. Built implicitly by
 /// [`Sim::schedule_at`]/[`Sim::schedule_in`], or explicitly with
-/// [`Event::new`] to park an action outside the calendar (see
-/// [`Resource`](crate::Resource)).
+/// [`Event::new`] to park an action outside the calendar.
 pub struct Event<S: 'static> {
     /// `Some` while `data` holds a payload: the pointer niche doubles
     /// as the live flag.

@@ -36,7 +36,6 @@ pub mod engine;
 pub mod link;
 pub mod queue;
 pub mod random;
-pub mod resource;
 pub mod stats;
 pub mod time;
 
@@ -45,6 +44,5 @@ pub use engine::{Event, Sim, SimPool};
 pub use link::{link, LinkRx, LinkTx, ProgressGate};
 pub use queue::ByteQueue;
 pub use random::Dist;
-pub use resource::Resource;
-pub use stats::{Counter, StreamingTally, Tally, TimeWeighted};
+pub use stats::{StreamingTally, Tally, TimeWeighted};
 pub use time::{Span, Time};

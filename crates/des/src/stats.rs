@@ -1,10 +1,10 @@
 //! Statistics collectors for simulation runs.
 //!
-//! Three collectors cover what the paper reports from its simulator:
-//! observation tallies (delays: "the longest observed delay … and the
-//! shortest"), time-weighted levels (backlog: "the maximum amount of
-//! data in system backlog accounting for all nodes and queues"), and
-//! plain counters.
+//! Two kinds of collector cover what the paper reports from its
+//! simulator: observation tallies (delays: "the longest observed delay
+//! … and the shortest") and time-weighted levels (backlog: "the maximum
+//! amount of data in system backlog accounting for all nodes and
+//! queues").
 
 use serde::Serialize;
 
@@ -226,40 +226,6 @@ impl TimeWeighted {
     }
 }
 
-/// Monotone counter with a rate accessor (events or bytes per second).
-#[derive(Clone, Debug, Default, Serialize)]
-pub struct Counter {
-    total: f64,
-}
-
-impl Counter {
-    /// Zeroed counter.
-    pub fn new() -> Counter {
-        Counter::default()
-    }
-
-    /// Add `x` (≥ 0).
-    pub fn add(&mut self, x: f64) {
-        debug_assert!(x >= 0.0);
-        self.total += x;
-    }
-
-    /// Total accumulated.
-    pub fn total(&self) -> f64 {
-        self.total
-    }
-
-    /// Average rate over `[0, t]`.
-    pub fn rate(&self, t: Time) -> f64 {
-        let ts = t.as_secs();
-        if ts <= 0.0 {
-            0.0
-        } else {
-            self.total / ts
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,15 +293,5 @@ mod tests {
         assert!((tw.time_avg(Time::secs(5.0)) - 24.0 / 5.0).abs() < 1e-12);
         assert_eq!(tw.max(), 10.0);
         assert_eq!(tw.level(), 0.0);
-    }
-
-    #[test]
-    fn counter_rate() {
-        let mut c = Counter::new();
-        c.add(100.0);
-        c.add(50.0);
-        assert_eq!(c.total(), 150.0);
-        assert_eq!(c.rate(Time::secs(3.0)), 50.0);
-        assert_eq!(c.rate(Time::ZERO), 0.0);
     }
 }

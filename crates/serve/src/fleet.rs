@@ -3,9 +3,9 @@
 //!
 //! This is the single definition of the workload every admission
 //! consumer shares — the networked service (`shard`), the in-proc
-//! `admit` bin and `admission` criterion bench (via the `nc-bench`
-//! re-exports), and the perf baseline — so the service replay and the
-//! in-proc replay decide against byte-identical models.
+//! `admit` bin (via the `nc-bench` re-exports), and the `perfbase`
+//! admission and service rows — so the service replay and the in-proc
+//! replay decide against byte-identical models.
 
 use nc_admit::{AdmissionEngine, ClassId, FlowClass, TenantId};
 use nc_core::num::Rat;
