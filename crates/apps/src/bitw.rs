@@ -192,7 +192,6 @@ pub fn sim_config(seed: u64) -> SimConfig {
         service_model: nc_streamsim::ServiceModel::Uniform,
         fast_forward: true,
         faults: None,
-        workers: None,
     }
 }
 
@@ -241,7 +240,6 @@ pub fn faulted_sim_config(seed: u64) -> SimConfig {
         nc_streamsim::FaultSchedule::from_pipeline(&faulted_pipeline(), seed, faulted_horizon());
     SimConfig {
         faults: Some(schedule),
-        workers: None,
         ..sim_config(seed)
     }
 }
@@ -275,7 +273,6 @@ pub fn faulted_retry_sim_config(seed: u64) -> SimConfig {
     };
     SimConfig {
         faults: Some(schedule),
-        workers: None,
         ..sim_config(seed)
     }
 }

@@ -194,7 +194,6 @@ pub fn sim_config(seed: u64) -> SimConfig {
         service_model: nc_streamsim::ServiceModel::Uniform,
         fast_forward: true,
         faults: None,
-        workers: None,
     }
 }
 
@@ -236,7 +235,6 @@ pub fn faulted_sim_config(seed: u64) -> SimConfig {
     SimConfig {
         total_input: FAULTED_TOTAL,
         faults: Some(schedule),
-        workers: None,
         ..sim_config(seed)
     }
 }

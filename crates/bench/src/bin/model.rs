@@ -22,35 +22,51 @@ use nc_core::units::{fmt_bytes, fmt_rate, fmt_time};
 use nc_core::Value;
 use nc_streamsim::{simulate, SimConfig};
 
+const USAGE: &str = "usage: model <pipeline.json> [--sim <MiB>] [--budget <KiB>] [--seed <n>]";
+
+/// The `u64` after the flag at `args[i]`, converted by `conv`; the
+/// usage error naming the flag when the value is missing, does not
+/// parse, or `conv` rejects it as out of range.
+fn flag_value<T>(
+    args: &[String],
+    i: usize,
+    conv: impl FnOnce(u64) -> Option<T>,
+) -> Result<T, String> {
+    let flag = &args[i];
+    args.get(i + 1)
+        .and_then(|v| v.parse::<u64>().ok())
+        .and_then(conv)
+        .ok_or_else(|| format!("model: missing or out-of-range value for {flag}\n{USAGE}"))
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(path) = args.first() else {
-        eprintln!("usage: model <pipeline.json> [--sim <MiB>] [--budget <KiB>] [--seed <n>]");
+        eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let mut sim_mib: Option<u64> = None;
-    let mut budget_kib: Option<u64> = None;
+    let mut sim_bytes: Option<u64> = None;
+    let mut budget: Option<Rat> = None;
     let mut seed = 42u64;
     let mut i = 1;
     while i < args.len() {
-        match args[i].as_str() {
+        let parsed = match args[i].as_str() {
             "--sim" => {
-                sim_mib = args.get(i + 1).and_then(|v| v.parse().ok());
-                i += 2;
+                flag_value(&args, i, |mib| mib.checked_mul(1 << 20)).map(|v| sim_bytes = Some(v))
             }
-            "--budget" => {
-                budget_kib = args.get(i + 1).and_then(|v| v.parse().ok());
-                i += 2;
-            }
-            "--seed" => {
-                seed = args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or(seed);
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                return ExitCode::FAILURE;
-            }
+            "--budget" => flag_value(&args, i, |kib| {
+                let bytes = i64::try_from(kib.checked_mul(1024)?).ok()?;
+                Some(Rat::int(bytes))
+            })
+            .map(|v| budget = Some(v)),
+            "--seed" => flag_value(&args, i, Some).map(|v| seed = v),
+            other => Err(format!("unknown argument: {other}\n{USAGE}")),
+        };
+        if let Err(msg) = parsed {
+            eprintln!("{msg}");
+            return ExitCode::FAILURE;
         }
+        i += 2;
     }
 
     let raw = match std::fs::read_to_string(path) {
@@ -122,8 +138,7 @@ fn main() -> ExitCode {
         fmt_time(model.heuristic_delay()),
     );
 
-    if let Some(kib) = budget_kib {
-        let budget = Rat::int(kib as i64) * Rat::int(1024);
+    if let Some(budget) = budget {
         match model.max_admissible_rate(budget) {
             Some(r) => println!(
                 "\nmax admissible source rate for a {} buffer: {}",
@@ -137,14 +152,14 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(mib) = sim_mib {
+    if let Some(total_input) = sim_bytes {
         let cfg = SimConfig {
             seed,
-            total_input: mib << 20,
+            total_input,
             ..SimConfig::default()
         };
         let r = simulate(&pipeline, &cfg);
-        println!("\nsimulation ({mib} MiB, seed {seed}):");
+        println!("\nsimulation ({} MiB, seed {seed}):", total_input >> 20);
         println!("  throughput   = {:.1} MiB/s", r.throughput / 1048576.0);
         println!(
             "  delay range  = [{:.3}, {:.3}] ms",

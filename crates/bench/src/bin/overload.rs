@@ -58,7 +58,6 @@ fn main() {
             trace: false,
             fast_forward: true,
             faults: None,
-            workers: None,
         }),
         tail: None,
     };
@@ -108,7 +107,6 @@ fn main() {
             trace: false,
             fast_forward: true,
             faults: None,
-            workers: None,
         }),
         tail: None,
     };

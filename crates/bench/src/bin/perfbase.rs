@@ -7,11 +7,10 @@
 //! beside its always-general reference twin; the DES kernel; the
 //! workload kernels behind Table 2; model construction, and the
 //! closed-form flow-control and tail bounds against the simulations
-//! they replace; the simulators at scale; the stage-parallel engine and
-//! its publication batching; the batch sweep engine; the admission
-//! engine; and its service front (`nc-serve`) through the full wire
-//! codec. Worker and shard counts above the host's cores are skipped
-//! with a notice.
+//! they replace; the simulators at scale; the batch sweep engine; the
+//! admission engine; and its service front (`nc-serve`) through the
+//! full wire codec. Worker and shard counts above the host's cores are
+//! skipped with a notice.
 //!
 //! Correctness asserts (sweep cached = uncached, service replay =
 //! in-proc engine, finite backpressure and tail bounds, every repro
@@ -44,8 +43,7 @@ use nc_core::units::mib_per_s;
 use nc_core::{bounds, packetizer};
 use nc_des::{ByteQueue, Dist, Sim, SimPool, SlotAgenda, Span, Time};
 use nc_streamsim::{
-    flow_windows, par_fallback, simulate, simulate_in, simulate_reference, ServiceModel, SimArena,
-    SimConfig,
+    flow_windows, simulate, simulate_in, simulate_reference, ServiceModel, SimArena, SimConfig,
 };
 use nc_workloads::aes::{cbc_decrypt_raw, cbc_encrypt_raw, Aes256};
 use nc_workloads::blast::{blast_search, seed_match, QueryIndex, UngappedParams};
@@ -60,17 +58,16 @@ const COMMAND: &str = "cargo run --release -p nc-bench --bin perfbase";
 /// under the group it is registered with.
 type Section = fn(&mut Bench);
 
-/// Every section with its row group, in run order. Later sections read
-/// rows of earlier ones: `par` its sequential twins from `sim`, `serve`
-/// the warm in-proc pair from `admit`.
-const SECTIONS: [(&str, Section); 10] = [
+/// Every section with its row group, in run order. A later section may
+/// read rows of an earlier one: `serve` reads the warm in-proc pair
+/// from `admit`.
+const SECTIONS: [(&str, Section); 9] = [
     ("bin", bins),
     ("curve", curves),
     ("des", des),
     ("kernel", kernels),
     ("model", models),
     ("sim", sims),
-    ("par", par),
     ("sweep", sweep),
     ("admit", admission),
     ("serve", serve),
@@ -800,63 +797,6 @@ fn sims(b: &mut Bench) {
         });
     }
     b.row(what, "", "events", events as f64);
-}
-
-/// The stage-parallel PDES engine (DESIGN §12) against its sequential
-/// twin rows from [`sims`], and its watermark publication batching.
-/// Results are bit-identical across worker counts (`prop_par`), so wall
-/// time is the only variable.
-fn par(b: &mut Bench) {
-    let p = bitw::sim_pipeline();
-    for (what, total) in [
-        ("streamsim BITW 64 MiB", 64u64 << 20),
-        ("streamsim BITW 1 GiB", 1 << 30),
-    ] {
-        let seq = b.seconds("sim", what, "");
-        for w in b.widths(&[1, 2, 4]) {
-            let cfg = SimConfig {
-                workers: Some(w),
-                ..untraced(total)
-            };
-            if let Some(reason) = par_fallback(&cfg) {
-                println!("  note: workers={w} requested but running sequentially: {reason}");
-            }
-            let params = format!("workers={w}");
-            let t = b.time(what, &params, || simulate(&p, &cfg));
-            b.speedup(&format!("{what}: parallel vs sequential"), &params, seq, t);
-        }
-    }
-    // Per-event publication (`NC_PUB_QUANTUM=1`) vs the default
-    // 256-event quantum at one worker. The quantum changes publication
-    // timing only, never results (`prop_par`); publish counts come from
-    // the link layer's global flush counter.
-    let cfg = SimConfig {
-        workers: Some(1),
-        ..untraced(64 << 20)
-    };
-    let what = "streamsim BITW 64 MiB";
-    for quantum in [256, 1] {
-        std::env::set_var("NC_PUB_QUANTUM", quantum.to_string());
-        nc_des::link::take_publish_count();
-        simulate(&p, &cfg);
-        let publishes = nc_des::link::take_publish_count() as f64;
-        b.row(
-            what,
-            &format!("workers=1 quantum={quantum}"),
-            "publishes",
-            publishes,
-        );
-    }
-    // Still at quantum 1; the quantum-256 time is the workers=1 row.
-    let per_event = b.time(what, "workers=1 quantum=1", || simulate(&p, &cfg));
-    std::env::remove_var("NC_PUB_QUANTUM");
-    let batched = b.seconds("par", what, "workers=1");
-    b.speedup(
-        "BITW 64 MiB: publication quantum 256 vs 1",
-        "workers=1",
-        per_event,
-        batched,
-    );
 }
 
 /// The batch sweep engine, cached and fanned out over `NC_THREADS`

@@ -548,7 +548,6 @@ pub mod tailload {
                 service_model: ServiceModel::Uniform,
                 fast_forward: true,
                 faults: None,
-                workers: None,
             };
             if self.pipeline.nodes.iter().any(|n| n.fault.is_some()) {
                 let horizon = self.total_input as f64 / self.pipeline.source.rate.to_f64();

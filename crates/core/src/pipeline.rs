@@ -408,57 +408,6 @@ impl Pipeline {
         self.assemble(arrival, models, st)
     }
 
-    /// Extract per-stage conservative lookahead windows for parallel
-    /// simulation (DESIGN.md §12).
-    ///
-    /// Conservative (null-message) PDES needs, for every stage, a sound
-    /// lower bound on how far its next output lies beyond its inputs.
-    /// The NC model provides exactly that: a stage whose rate-latency
-    /// service is `β_n = R_n(t − T_n)⁺` and that must aggregate `b_n`
-    /// bytes arriving at a rate bounded by `R_{α,n−1}` cannot emit
-    /// before
-    ///
-    /// ```text
-    ///   T_n + b_n/R_{α,n−1}   (§3 aggregation recurrence, collection)
-    ///           + b_n/R_max,n (max-service floor on one job)
-    /// ```
-    ///
-    /// so a downstream shard may always advance that far past the
-    /// upstream frontier. `min_job_time` is additionally the floor on
-    /// the gap between *consecutive* emissions (back-to-back jobs are
-    /// serialized through the stage), which is the pacing bound the
-    /// parallel engine in `nc-streamsim` uses.
-    ///
-    /// Values agree exactly with [`Pipeline::build_model`] — the
-    /// aggregation term is read off the canonical cascade analysis, and
-    /// the scalar terms come from the same `Node` fields the service
-    /// curves are built from. All times are in seconds ([`Rat`], exact).
-    ///
-    /// # Panics
-    /// Panics if the pipeline is invalid; call [`Pipeline::validate`]
-    /// first for a recoverable error.
-    pub fn stage_lookaheads(&self) -> Vec<StageLookahead> {
-        let model = self.build_model();
-        self.nodes
-            .iter()
-            .zip(&model.per_node)
-            .map(|(n, nm)| {
-                // Local seconds: the normalization cancels in b/R, so
-                // job_in/rates.max equals the input-referred
-                // job_in_normalized/rate_max.
-                let min_job_time = n.job_in / n.rates.max;
-                debug_assert_eq!(min_job_time, nm.job_in_normalized / nm.rate_max);
-                StageLookahead {
-                    name: n.name.clone(),
-                    dispatch_latency: n.latency,
-                    aggregation_latency: nm.collection_latency,
-                    min_job_time,
-                    min_response: n.latency + nm.collection_latency + min_job_time,
-                }
-            })
-            .collect()
-    }
-
     /// Flow-control analysis for this pipeline with bounded queues:
     /// `windows[i]` describes the (input-referred) queue feeding stage
     /// `i`, `None` when unbounded. See [`crate::flowctl`] for the
@@ -955,27 +904,6 @@ pub struct NodeModel {
     pub regime: Regime,
 }
 
-/// A stage's conservative lookahead window for parallel simulation,
-/// extracted from the NC model by [`Pipeline::stage_lookaheads`]. All
-/// times are seconds; see DESIGN.md §12 for the derivation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StageLookahead {
-    /// Stage name.
-    pub name: String,
-    /// Dispatch/initiation latency `T_n` of the rate-latency service.
-    pub dispatch_latency: Rat,
-    /// §3 collection term `b_n / R_{α,n−1}` (zero when the upstream
-    /// burst already covers the job), read off the cascade analysis.
-    pub aggregation_latency: Rat,
-    /// Max-service floor on one job, `b_n / R_max,n` — also the minimum
-    /// gap between consecutive emissions of the stage.
-    pub min_job_time: Rat,
-    /// Earliest-response window: `T_n + b_n/R_{α,n−1} + b_n/R_max,n`.
-    /// A downstream shard can always advance this far past the
-    /// upstream's committed frontier.
-    pub min_response: Rat,
-}
-
 /// The assembled network-calculus model of a pipeline.
 #[derive(Clone, Debug)]
 pub struct PipelineModel {
@@ -1348,47 +1276,6 @@ mod tests {
         // collect = b_n / R_α = 8 / 4 = 2, plus T = 1.
         assert_eq!(m.per_node[0].collection_latency, Rat::int(2));
         assert_eq!(m.total_latency, Rat::int(3));
-    }
-
-    #[test]
-    fn stage_lookaheads_follow_the_aggregation_recurrence() {
-        let mut p = two_stage();
-        p.source.burst = Rat::int(2); // smaller than node a's job of 8
-        p.nodes[0].latency = Rat::ONE;
-        let la = p.stage_lookaheads();
-        assert_eq!(la.len(), 2);
-        // Node a: T = 1, collect = 8/4 = 2, one job at R_max: 8/10.
-        assert_eq!(la[0].name, "a");
-        assert_eq!(la[0].dispatch_latency, Rat::ONE);
-        assert_eq!(la[0].aggregation_latency, Rat::int(2));
-        assert_eq!(la[0].min_job_time, rat(4, 5));
-        assert_eq!(la[0].min_response, Rat::ONE + Rat::int(2) + rat(4, 5));
-        // Node b: job (8) equals node a's emitted block (8) → no
-        // collection charge; 8 bytes at 6 B/s.
-        assert_eq!(la[1].dispatch_latency, Rat::ZERO);
-        assert_eq!(la[1].aggregation_latency, Rat::ZERO);
-        assert_eq!(la[1].min_job_time, rat(4, 3));
-        assert_eq!(la[1].min_response, rat(4, 3));
-    }
-
-    #[test]
-    fn stage_lookaheads_agree_with_the_built_model() {
-        let mut p = two_stage();
-        p.nodes[0].job_out = Rat::int(2); // 4:1 reduction, non-unit norms
-        p.nodes[1].job_in = Rat::int(2);
-        p.nodes[1].job_out = Rat::int(2);
-        let la = p.stage_lookaheads();
-        let m = p.build_model();
-        for (l, nm) in la.iter().zip(&m.per_node) {
-            assert_eq!(l.name, nm.name);
-            assert_eq!(l.aggregation_latency, nm.collection_latency);
-            // Normalization cancels in b/R: local equals input-referred.
-            assert_eq!(l.min_job_time, nm.job_in_normalized / nm.rate_max);
-            assert_eq!(
-                l.min_response,
-                l.dispatch_latency + l.aggregation_latency + l.min_job_time
-            );
-        }
     }
 
     #[test]

@@ -1,65 +1,50 @@
-//! SPSC message links with watermark promises, for conservatively
-//! synchronized parallel simulation (PDES).
+//! SPSC message links with batched publication and a park/wake gate.
 //!
-//! A [`link`] connects exactly one producer logical process (LP) to one
-//! consumer LP. Besides timestamped messages, the producer publishes a
-//! monotone **watermark**: a promise that every message it will ever
-//! send in the future carries a timestamp `>=` the watermark. This is
-//! the lower-bound-timestamp half of a classic null-message protocol
-//! (Chandy–Misra–Bryant): the consumer may safely simulate up to the
-//! minimum of its input watermarks, because no earlier event can still
-//! arrive. How far a producer can push its watermark *past* its last
-//! sent message is its **lookahead** — in `nc-streamsim` that window is
-//! derived from the network-calculus service model (see
-//! `Pipeline::stage_lookaheads` in `nc-core`).
+//! A [`link`] connects exactly one producer thread to one consumer
+//! thread. The producer sends messages and finally closes the link; the
+//! consumer polls, pops, and learns from [`LinkRx::exhausted`] that
+//! nothing more can arrive. `nc-serve` feeds each shard worker over a
+//! pair of links (requests in, responses out).
 //!
 //! Design points:
 //!
 //! * **Batched handoff.** The producer accumulates messages in a local
-//!   buffer and publishes them (plus the current watermark) under one
-//!   mutex acquisition per [`LinkTx::flush`], so per-message cost stays
-//!   lock-free. The auto-flush threshold is the link's *batch*
-//!   ([`LinkTx::set_batch`]) — the consumer-visible publication quantum.
-//!   Producers must flush before blocking — an unpublished watermark
-//!   can deadlock the consumer.
+//!   buffer and publishes them under one mutex acquisition per
+//!   [`LinkTx::flush`], so per-message cost stays lock-free. The
+//!   auto-flush threshold is the link's *batch* ([`LinkTx::set_batch`])
+//!   — the consumer-visible publication quantum. Producers must flush
+//!   before blocking — an unpublished batch can deadlock a consumer
+//!   waiting for it.
 //! * **Lock-free steady state.** The shared side keeps two
 //!   cache-line-padded atomics next to the mutex-protected queue: the
-//!   published message `depth` and the published watermark bits. An
-//!   idle consumer's [`LinkRx::poll`] and a producer's
-//!   [`LinkTx::backlogged`] read only the atomics; the mutex is touched
-//!   only when messages actually change hands. The watermark store is
-//!   `Release` inside the producer's critical section and the
-//!   consumer's fast path loads it `Acquire` *before* the depth, so a
-//!   watermark can never be observed ahead of the messages it covers
-//!   (messages published before the observed watermark would make the
+//!   published message `depth` and the `closed` flag. An idle
+//!   consumer's [`LinkRx::poll`] and a producer's [`LinkTx::backlogged`]
+//!   read only the atomics; the mutex is touched only when messages
+//!   actually change hands. The closed store is `Release` inside the
+//!   producer's critical section and the consumer's fast path loads it
+//!   `Acquire` *before* the depth, so a close can never be observed
+//!   ahead of the messages sent before it (those would make the
 //!   subsequently-loaded depth nonzero).
-//! * **Soft capacity.** `capacity` bounds *wall-clock memory*, not
-//!   simulation semantics: [`LinkTx::backlogged`] reports when the
-//!   consumer has fallen behind, and the driving loop parks the
-//!   producer until the consumer drains. A full link never drops or
-//!   blocks inside `send`, so producers can always publish watermarks.
+//! * **Soft capacity.** `capacity` bounds *wall-clock memory*:
+//!   [`LinkTx::backlogged`] reports when the consumer has fallen
+//!   behind, and the driving loop parks the producer until the consumer
+//!   drains. A full link never drops or blocks inside `send`.
 //! * **Progress gate.** All parties share one [`ProgressGate`] — an
 //!   atomic generation counter with a spin-then-park waiter. Any
 //!   publication (flush, close, consumer drain) bumps the generation; a
-//!   blocked LP re-polls its inputs and waits for the generation to
+//!   blocked thread re-polls its inputs and waits for the generation to
 //!   move past the value it saw before polling. The waiter spins
 //!   (bounded, `NC_SPIN_US` microseconds, exponentially growing
-//!   spin-hint batches) before parking on a condvar, so the common
-//!   short waits of a well-balanced run never pay a syscall; the parked
-//!   path counts waiters so an uncontested [`ProgressGate::bump`] is
-//!   two uncontended atomics and no mutex.
+//!   spin-hint batches) before parking on a condvar, so short waits
+//!   never pay a syscall; the parked path counts waiters so an
+//!   uncontested [`ProgressGate::bump`] is two uncontended atomics and
+//!   no mutex.
 //!
-//! Determinism: message *content and order* on a link are produced by a
-//! single LP, and consumers take scheduling decisions only of the form
-//! "may I process up to time `t` yet" — monotone questions whose answer
-//! timing cannot change what is computed. Results are therefore
-//! independent of thread count and interleaving by construction —
-//! including the batch size and any staleness of the published
-//! watermark, which affect *liveness* (how soon a consumer may advance)
-//! but never *what* it computes.
+//! Message content and order on a link are set by its one producer;
+//! the batch size changes only *when* the consumer sees them.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -89,14 +74,10 @@ fn spin_budget() -> Duration {
     })
 }
 
-/// The `NC_PUB_QUANTUM` publication quantum: messages (or simulation
-/// events) buffered per link publication. `1` restores per-message
-/// publication — the ablation baseline in `perfbase` — and the default
-/// batches 256 per publication. One knob covers every batched-handoff
-/// consumer (the PDES engine in `nc-streamsim::par`, the admission
-/// service rings in `nc-serve`); publication timing affects liveness
-/// only, never results. Read per call (not cached) so harnesses can
-/// vary it between runs.
+/// The `NC_PUB_QUANTUM` publication quantum: messages buffered per
+/// link publication on `nc-serve`'s shard rings. `1` publishes every
+/// message; the default batches 256 per publication. Publication timing
+/// changes latency only, never results.
 pub fn publish_quantum() -> usize {
     std::env::var("NC_PUB_QUANTUM")
         .ok()
@@ -106,8 +87,8 @@ pub fn publish_quantum() -> usize {
 }
 
 /// Process-wide count of link publications (flushes and closes that
-/// made new state visible). Instrumentation for the batched-watermark
-/// ablation in `perfbase`; one relaxed increment per publication.
+/// made new state visible). Instrumentation for the ring batching
+/// measurements; one relaxed increment per publication.
 static PUBLISHES: AtomicU64 = AtomicU64::new(0);
 
 /// Read and reset the process-wide publication counter.
@@ -202,8 +183,8 @@ struct Shared<T> {
     /// whenever the mutex is held; lock-free readers may see it stale,
     /// which only delays them by one poll).
     depth: CachePadded<AtomicUsize>,
-    /// Published watermark as `f64` bits (monotone; `+∞` once closed).
-    wm_bits: CachePadded<AtomicU64>,
+    /// Set once, by the producer's closing publication.
+    closed: CachePadded<AtomicBool>,
 }
 
 /// Producer half of a link.
@@ -212,8 +193,6 @@ pub struct LinkTx<T> {
     shared: Arc<Shared<T>>,
     gate: Arc<ProgressGate>,
     buf: Vec<T>,
-    watermark: f64,
-    published_watermark: f64,
     capacity: usize,
     batch: usize,
     closed: bool,
@@ -226,7 +205,6 @@ pub struct LinkRx<T> {
     gate: Arc<ProgressGate>,
     /// Drained messages, consumed without locking.
     local: VecDeque<T>,
-    watermark: f64,
     closed: bool,
 }
 
@@ -237,15 +215,13 @@ pub fn link<T>(capacity: usize, gate: &Arc<ProgressGate>) -> (LinkTx<T>, LinkRx<
     let shared = Arc::new(Shared {
         queue: Mutex::new(VecDeque::new()),
         depth: CachePadded(AtomicUsize::new(0)),
-        wm_bits: CachePadded(AtomicU64::new(0.0f64.to_bits())),
+        closed: CachePadded(AtomicBool::new(false)),
     });
     (
         LinkTx {
             shared: Arc::clone(&shared),
             gate: Arc::clone(gate),
             buf: Vec::with_capacity(BATCH),
-            watermark: 0.0,
-            published_watermark: 0.0,
             capacity,
             batch: BATCH,
             closed: false,
@@ -254,7 +230,6 @@ pub fn link<T>(capacity: usize, gate: &Arc<ProgressGate>) -> (LinkTx<T>, LinkRx<
             shared,
             gate: Arc::clone(gate),
             local: VecDeque::new(),
-            watermark: 0.0,
             closed: false,
         },
     )
@@ -271,33 +246,24 @@ impl<T> LinkTx<T> {
     }
 
     /// Set the auto-flush threshold of [`LinkTx::send`] — the
-    /// publication quantum. `1` publishes every message (the ablation
-    /// baseline); larger values amortize the mutex and the gate bump
-    /// over the batch. Clamped to `[1, capacity]`.
+    /// publication quantum. `1` publishes every message; larger values
+    /// amortize the mutex and the gate bump over the batch. Clamped to
+    /// `[1, capacity]`.
     pub fn set_batch(&mut self, batch: usize) {
         self.batch = batch.clamp(1, self.capacity);
     }
 
-    /// Raise the watermark promise to `w` (monotone: lower values are
-    /// ignored — an older sound bound stays sound). Published on the
-    /// next [`LinkTx::flush`].
-    pub fn set_watermark(&mut self, w: f64) {
-        if w > self.watermark {
-            self.watermark = w;
-        }
-    }
-
-    /// The current (possibly unpublished) watermark.
-    pub fn watermark(&self) -> f64 {
-        self.watermark
-    }
-
-    /// Publish buffered messages and the current watermark, announcing
-    /// progress if anything new became visible.
+    /// Publish buffered messages, announcing progress if any were
+    /// buffered.
     pub fn flush(&mut self) {
-        if self.buf.is_empty() && self.watermark == self.published_watermark {
-            return;
+        if !self.buf.is_empty() {
+            self.publish();
         }
+    }
+
+    /// Move the buffer into the shared queue (and the closed flag, once
+    /// closing) under one lock, then bump the gate.
+    fn publish(&mut self) {
         {
             let mut q = self.shared.queue.lock().expect("link poisoned");
             let k = self.buf.len();
@@ -305,15 +271,13 @@ impl<T> LinkTx<T> {
             if k > 0 {
                 self.shared.depth.0.fetch_add(k, Ordering::Release);
             }
-            // Release inside the critical section: a consumer that
-            // Acquire-loads this watermark observes the messages (and
-            // depth) published before it.
-            self.shared
-                .wm_bits
-                .0
-                .store(self.watermark.to_bits(), Ordering::Release);
+            if self.closed {
+                // Release inside the critical section: a consumer that
+                // Acquire-loads `closed` observes the messages (and
+                // depth) published before it.
+                self.shared.closed.0.store(true, Ordering::Release);
+            }
         }
-        self.published_watermark = self.watermark;
         PUBLISHES.fetch_add(1, Ordering::Relaxed);
         self.gate.bump();
     }
@@ -325,35 +289,32 @@ impl<T> LinkTx<T> {
         self.shared.depth.0.load(Ordering::Relaxed) + self.buf.len() >= self.capacity
     }
 
-    /// Flush everything, promise no further messages (watermark `+∞`)
-    /// and mark the link closed. Idempotent.
+    /// Publish everything buffered and mark the link closed: no further
+    /// messages. Always publishes, even with nothing buffered, so a
+    /// consumer parked on the gate wakes to see the close. Idempotent.
     pub fn close(&mut self) {
         if self.closed {
             return;
         }
         self.closed = true;
-        self.watermark = f64::INFINITY;
-        self.flush();
+        self.publish();
     }
 }
 
 impl<T> LinkRx<T> {
     /// Drain newly published messages into the local buffer and refresh
-    /// the cached watermark/closed state. Returns `true` if any message
-    /// was taken (which also wakes a producer parked on backlog). When
-    /// nothing was published since the last poll this is two atomic
-    /// loads — no lock.
+    /// the cached closed state. Returns `true` if any message was taken
+    /// (which also wakes a producer parked on backlog). When nothing
+    /// was published since the last poll this is two atomic loads — no
+    /// lock.
     pub fn poll(&mut self) -> bool {
         let s = &*self.shared;
-        // Watermark first, depth second (both Acquire, not reorderable):
-        // any message covered by the observed watermark was published
+        // Closed first, depth second (both Acquire, not reorderable):
+        // any message sent before the observed close was published
         // before it and would make this depth load nonzero.
-        let wm = f64::from_bits(s.wm_bits.0.load(Ordering::Acquire));
+        let closed = s.closed.0.load(Ordering::Acquire);
         if s.depth.0.load(Ordering::Acquire) == 0 {
-            if wm > self.watermark {
-                self.watermark = wm;
-                self.closed = wm.is_infinite();
-            }
+            self.closed |= closed;
             return false;
         }
         let took;
@@ -365,14 +326,10 @@ impl<T> LinkRx<T> {
                 self.local.extend(q.drain(..));
                 s.depth.0.fetch_sub(k, Ordering::Release);
             }
-            // Under the lock, watermark and queue are mutually
+            // Under the lock, the flag and the queue are mutually
             // consistent (the producer stores both in its critical
             // section).
-            let wm = f64::from_bits(s.wm_bits.0.load(Ordering::Acquire));
-            if wm > self.watermark {
-                self.watermark = wm;
-                self.closed = wm.is_infinite();
-            }
+            self.closed |= s.closed.0.load(Ordering::Acquire);
         }
         if took {
             // A backlogged producer may be parked on the gate.
@@ -381,36 +338,13 @@ impl<T> LinkRx<T> {
         took
     }
 
-    /// The next undelivered message, if any (after the last `poll`).
-    pub fn front(&self) -> Option<&T> {
-        self.local.front()
-    }
-
-    /// Remove and return the next message.
+    /// Remove and return the next message (after the last `poll`).
     pub fn pop(&mut self) -> Option<T> {
         self.local.pop_front()
     }
 
-    /// Iterate the locally buffered (not yet consumed) messages.
-    pub fn buffered(&self) -> impl Iterator<Item = &T> {
-        self.local.iter()
-    }
-
-    /// The frontier below which no *new* message can appear: the cached
-    /// producer watermark (`+∞` once closed). Messages already in the
-    /// local buffer may of course carry earlier timestamps.
-    pub fn watermark(&self) -> f64 {
-        self.watermark
-    }
-
-    /// `true` once the producer closed the link and every message has
-    /// been drained out of the shared queue (local buffer may still
-    /// hold messages).
-    pub fn closed(&self) -> bool {
-        self.closed
-    }
-
-    /// `true` when no message is buffered and none can ever arrive.
+    /// `true` once the producer closed the link and every message it
+    /// sent has been popped: none is buffered and none can arrive.
     pub fn exhausted(&self) -> bool {
         self.closed && self.local.is_empty()
     }
@@ -419,6 +353,9 @@ impl<T> LinkRx<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Serializes the tests that reset the process-wide publish counter.
+    static COUNTER: Mutex<()> = Mutex::new(());
 
     #[test]
     fn messages_arrive_in_order_after_flush() {
@@ -435,32 +372,33 @@ mod tests {
     }
 
     #[test]
-    fn watermark_is_monotone_and_published_on_flush() {
-        let gate = ProgressGate::new();
-        let (mut tx, mut rx) = link::<u32>(1024, &gate);
-        tx.set_watermark(5.0);
-        tx.set_watermark(3.0); // lower: ignored
-        assert_eq!(tx.watermark(), 5.0);
-        rx.poll();
-        assert_eq!(rx.watermark(), 0.0, "unpublished until flush");
-        tx.flush();
-        rx.poll();
-        assert_eq!(rx.watermark(), 5.0);
-    }
-
-    #[test]
-    fn close_is_an_infinite_watermark() {
+    fn close_after_send_drains_then_exhausts() {
         let gate = ProgressGate::new();
         let (mut tx, mut rx) = link::<u32>(1024, &gate);
         tx.send(7);
         tx.close();
         rx.poll();
-        assert!(rx.closed());
-        assert_eq!(rx.watermark(), f64::INFINITY);
         assert!(!rx.exhausted(), "one message still buffered");
         assert_eq!(rx.pop(), Some(7));
         assert!(rx.exhausted());
         tx.close(); // idempotent
+    }
+
+    #[test]
+    fn close_with_nothing_buffered_still_publishes() {
+        // A shard worker and `ShardPool::join` in `nc-serve` both end
+        // on a close whose publication carries no messages; the
+        // consumer must still see it, and a parked one must wake.
+        let _counter = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+        let gate = ProgressGate::new();
+        let (mut tx, mut rx) = link::<u32>(1024, &gate);
+        take_publish_count();
+        let seen = gate.generation();
+        tx.close();
+        assert!(!rx.poll(), "a bare close carries no messages");
+        assert!(rx.exhausted());
+        assert!(take_publish_count() >= 1, "the close was published");
+        assert_ne!(gate.generation(), seen, "the close bumped the gate");
     }
 
     #[test]
@@ -479,6 +417,7 @@ mod tests {
     #[test]
     fn batch_of_one_publishes_every_send() {
         let gate = ProgressGate::new();
+        let _counter = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
         let (mut tx, mut rx) = link::<u32>(1024, &gate);
         tx.set_batch(1);
         take_publish_count();

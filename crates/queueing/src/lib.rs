@@ -1,7 +1,7 @@
 //! # nc-queueing — queueing-theory baselines
 //!
 //! The models the paper compares its network-calculus approach against:
-//! M/M/1 (the baseline of Faber et al. [12]), M/M/c, M/G/1 via
+//! M/M/1 (the baseline of Faber et al. [12]), M/G/1 via
 //! Pollaczek–Khinchine (including the uniform-service stages of the
 //! simulator), and the tandem-network roofline flow analysis that
 //! produces the "queueing theory prediction" rows of Tables 1 and 3.
@@ -24,14 +24,10 @@
 
 #![warn(missing_docs)]
 
-pub mod gg1;
 pub mod mg1;
 pub mod mm1;
-pub mod mmc;
 pub mod network;
 
-pub use gg1::Gg1;
 pub use mg1::Mg1;
 pub use mm1::{Mm1, QueueError};
-pub use mmc::Mmc;
 pub use network::{analyze_tandem, TandemAnalysis, TandemStage};

@@ -11,10 +11,11 @@
 //!    in-proc replay **at any shard count** ([`replay`] proves it).
 //! 2. **Batched wire protocol.** Length-prefixed binary frames
 //!    ([`proto`]) move between the acceptor and the shard rings in
-//!    publication quanta (`NC_PUB_QUANTUM`, shared with the parallel
-//!    DES engine), amortising ring synchronisation exactly as the DES
-//!    amortises its link traffic. The `perfbase` v9 ablation measures
-//!    batched vs per-request framing on the same trace.
+//!    publication quanta (`NC_PUB_QUANTUM` frames per ring
+//!    publication), so ring synchronisation costs one mutex
+//!    acquisition and one gate bump per quantum, not per frame.
+//!    `perfbase` measures batched vs per-request framing on the same
+//!    trace.
 //! 3. **Honest off-path analysis.** What-if capacity queries run
 //!    `nc-sweep` grids on a [`sidecar`] thread, never a shard;
 //!    reconfigurations drain through the owning shard between batches

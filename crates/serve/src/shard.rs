@@ -3,10 +3,11 @@
 //! Tenants are hash-routed (`tenant % shards`) to a shard; each shard
 //! worker owns its own [`AdmissionEngine`] (and therefore its own
 //! `ModelCache` and scalar arenas) and is fed over a bounded SPSC ring
-//! pair reusing [`nc_des::link`]'s watermark/park machinery: requests
-//! in, responses out, every ring publishing in batches of the
-//! `NC_PUB_QUANTUM` quantum so the hot decision path pays one mutex
-//! acquisition and one gate bump per *batch*, not per request.
+//! pair built on [`nc_des::link`] (batched publication, a closed flag,
+//! and a spin-then-park gate): requests in, responses out, every ring
+//! publishing in batches of the `NC_PUB_QUANTUM` quantum so the hot
+//! decision path pays one mutex acquisition and one gate bump per
+//! *batch*, not per request.
 //!
 //! **Determinism.** Decisions are independent across tenants — each
 //! tenant has its own path state, and the shared model cache affects

@@ -63,20 +63,6 @@ pub struct SimConfig {
     /// pipeline at simulation setup.
     #[serde(default)]
     pub faults: Option<FaultSchedule>,
-    /// Run the stochastic engines stage-parallel with this many worker
-    /// threads (conservative PDES with NC-derived lookahead; see
-    /// `DESIGN.md` §12). `None` (the default) keeps the sequential
-    /// thinned engine — existing configurations are untouched. The
-    /// parallel engine draws per-stage RNG streams keyed by
-    /// `(seed, stage)`, so its sample paths differ from the sequential
-    /// engine's, but results are bit-identical for every worker count
-    /// (`workers = Some(1)` ≡ `workers = Some(n)`). Bounded-queue
-    /// configurations (`queue_capacity` or `queue_capacities` set) and
-    /// `ServiceModel::Deterministic` ignore this field and run on the
-    /// sequential engines — see `crate::par::par_fallback` for the
-    /// typed reason.
-    #[serde(default)]
-    pub workers: Option<usize>,
 }
 
 impl SimConfig {
@@ -128,7 +114,6 @@ impl Default for SimConfig {
             service_model: ServiceModel::Uniform,
             fast_forward: true,
             faults: None,
-            workers: None,
         }
     }
 }

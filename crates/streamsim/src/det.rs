@@ -883,7 +883,6 @@ mod tests {
             trace: false,
             fast_forward: ff,
             faults: None,
-            workers: None,
         }
     }
 

@@ -165,16 +165,6 @@ pub fn simulate_in(arena: &mut SimArena, pipeline: &Pipeline, config: &SimConfig
         // periodic steady states (see `crate::det`).
         return crate::det::simulate_det(pipeline, config);
     }
-    if let Some(w) = config.workers {
-        if crate::par::par_fallback(config).is_none() {
-            // Stage-parallel conservative PDES (DESIGN.md §12):
-            // bit-identical across worker counts, different sample
-            // paths than this engine (per-stage RNG streams). Bounded
-            // queues fall through to the sequential path below (see
-            // `par::par_fallback`).
-            return crate::par::simulate_par(pipeline, config, w);
-        }
-    }
     pipeline
         .validate()
         .unwrap_or_else(|e| panic!("simulate: invalid pipeline: {e}"));
@@ -627,7 +617,6 @@ mod tests {
             trace: true,
             fast_forward: true,
             faults: None,
-            workers: None,
         }
     }
 

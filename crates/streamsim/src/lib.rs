@@ -42,7 +42,6 @@ mod config;
 mod det;
 mod engine;
 mod faults;
-mod par;
 mod reference;
 mod result;
 mod ring;
@@ -51,7 +50,6 @@ mod stats;
 pub use config::{flow_windows, ServiceModel, SimConfig};
 pub use engine::{simulate, simulate_in, SimArena};
 pub use faults::{ConfigError, FaultSchedule, Outage, RecoveryPolicy, StageFault, StallSpec};
-pub use par::{par_fallback, ParFallback};
 pub use reference::simulate_reference;
 pub use result::{NodeStats, SimResult};
 pub use stats::Quantiles;

@@ -111,7 +111,6 @@ proptest! {
             trace: true,
             fast_forward: true,
             faults: None,
-            workers: None,
         };
         let r = simulate(&p, &cfg);
 

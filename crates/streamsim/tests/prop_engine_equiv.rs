@@ -118,7 +118,6 @@ fn cfg(case: &GenCase, model: ServiceModel, seed: u64, trace: bool, ff: bool) ->
         service_model: model,
         fast_forward: ff,
         faults: None,
-        workers: None,
     }
 }
 

@@ -302,7 +302,6 @@ fn cfg(
         service_model: model,
         fast_forward: ff,
         faults,
-        workers: None,
     }
 }
 
@@ -333,7 +332,6 @@ proptest! {
             trace: true,
             fast_forward: true,
             faults: Some(schedule),
-            workers: None,
         };
         let r = simulate(&p, &cfg);
 

@@ -28,9 +28,8 @@ struct GenCase {
     total: u64,
 }
 
-/// Random 1–3 node pipelines with power-of-two job sizes (the same
-/// family as `prop_par`, kept small so the sequential reference runs
-/// are cheap). Source rates are free relative to stage rates, so the
+/// Random 1–3 node pipelines with power-of-two job sizes (kept small
+/// so the sequential reference runs are cheap). Source rates are free relative to stage rates, so the
 /// cases span the underloaded, balanced and overloaded regimes — the
 /// overloaded ones are exactly where the unbounded analysis diverges
 /// and only the admission gate keeps the flowctl bounds finite.
@@ -115,7 +114,6 @@ fn cfg(case: &GenCase, caps: Vec<u64>, seed: u64, model: ServiceModel) -> SimCon
         service_model: model,
         fast_forward: true,
         faults: None,
-        workers: None,
     }
 }
 

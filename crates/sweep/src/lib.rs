@@ -824,7 +824,6 @@ mod tests {
         let mut bad = ok.clone();
         bad.sim = Some(SimConfig {
             faults: Some(schedule),
-            workers: None,
             ..SimConfig::default()
         });
         let e = bad.validate().unwrap_err();

@@ -68,7 +68,6 @@ fn run_with_caps(caps: Option<Vec<u64>>) -> (f64, f64) {
             trace: false,
             fast_forward: true,
             faults: None,
-            workers: None,
         },
     );
     (r.throughput / 1048576.0, r.peak_backlog / 1048576.0)

@@ -54,7 +54,6 @@ fn main() {
                 trace: false,
                 fast_forward: true,
                 faults: None,
-                workers: None,
             },
         );
         println!(

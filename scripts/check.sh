@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, the tier-1 build+test pass, the
-# artifact determinism and containment gates, and the perf gate. Run
-# from anywhere inside the repo.
+# perfbench build check, the artifact determinism and containment
+# gates, and the perf gate. Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,6 +14,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> tier-1: cargo build --release && cargo test -q --workspace"
 cargo build --release
 cargo test -q --workspace
+
+echo "==> perfbench builds against the public API, unedited"
+# perfbench/ is a package of its own that only benchmark changes edit;
+# every other change must keep the API it uses working.
+cargo check --manifest-path perfbench/Cargo.toml --locked --offline
+git diff --exit-code perfbench/ \
+  || { echo "FAIL: building perfbench changed files under perfbench/" >&2; exit 1; }
 
 echo "==> sweep smoke: 4x4 grid through the batch engine"
 SWEEP_GRID=4x4 NC_THREADS=2 cargo run --release -q -p nc-bench --bin sweep

@@ -10,7 +10,7 @@
 //!   model (the paper's contribution);
 //! * [`des`](nc_des) — a SimPy-equivalent discrete-event kernel;
 //! * [`streamsim`](nc_streamsim) — the §4.2 pipeline simulator;
-//! * [`queueing`](nc_queueing) — M/M/1 / M/M/c / M/G/1 baselines and
+//! * [`queueing`](nc_queueing) — M/M/1 / M/G/1 baselines and
 //!   the roofline flow analysis of Faber et al. [12];
 //! * [`workloads`](nc_workloads) — from-scratch BLASTN stages, LZ4,
 //!   AES-256-CBC, link models, and the isolation measurement harness;

@@ -62,7 +62,6 @@ fn all_three_models_agree_on_the_bottleneck() {
             trace: false,
             fast_forward: true,
             faults: None,
-            workers: None,
         },
     );
     assert!(
@@ -139,7 +138,6 @@ fn des_validates_nc_delay_on_deterministic_stage() {
             trace: false,
             fast_forward: true,
             faults: None,
-            workers: None,
         },
     );
     let bound = m.delay_bound_concat().to_f64();
@@ -276,7 +274,6 @@ fn three_model_grid_containment() {
                 trace: false,
                 fast_forward: true,
                 faults: None,
-                workers: None,
             },
         );
         assert_three_way_containment(&format!("point {point}"), &m, &sim);
@@ -409,7 +406,6 @@ fn stochastic_tail_p99_grid_containment() {
                     trace: false,
                     fast_forward: true,
                     faults: None,
-                    workers: None,
                 },
             );
             q_delay.push(sim.delay_max);
@@ -481,7 +477,6 @@ fn stochastic_tail_million_replica_containment() {
                     trace: false,
                     fast_forward: true,
                     faults: None,
-                    workers: None,
                 },
             );
             for (c, b) in counts.iter_mut().zip(&bounds) {
