@@ -192,7 +192,6 @@ pub fn sim_config(seed: u64) -> SimConfig {
         queue_capacities: None,
         trace: true,
         service_model: nc_streamsim::ServiceModel::Uniform,
-        fast_forward: true,
         faults: None,
     }
 }

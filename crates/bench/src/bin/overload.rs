@@ -56,7 +56,6 @@ fn main() {
             queue_capacities: None,
             service_model: nc_streamsim::ServiceModel::Uniform,
             trace: false,
-            fast_forward: true,
             faults: None,
         }),
         tail: None,
@@ -105,7 +104,6 @@ fn main() {
             queue_capacities: None,
             service_model: nc_streamsim::ServiceModel::Deterministic,
             trace: false,
-            fast_forward: true,
             faults: None,
         }),
         tail: None,

@@ -41,7 +41,7 @@ use nc_core::ops::{
 use nc_core::pipeline::{ModelCache, Node, NodeKind, Pipeline, Source, StageRates};
 use nc_core::units::mib_per_s;
 use nc_core::{bounds, packetizer};
-use nc_des::{ByteQueue, Dist, Sim, SimPool, SlotAgenda, Span, Time};
+use nc_des::{ByteQueue, Dist, Sim, SlotAgenda, Span, Time};
 use nc_streamsim::{
     flow_windows, simulate, simulate_in, simulate_reference, ServiceModel, SimArena, SimConfig,
 };
@@ -374,11 +374,6 @@ fn des(b: &mut Bench) {
             burst(Sim::new(0), n).state
         });
     }
-    let mut pool = SimPool::new();
-    b.time("event burst, pooled calendar", "events=100000", || {
-        let sim = burst(pool.take(0u64), 100_000);
-        pool.put(sim)
-    });
     fn chain(sim: &mut Sim<u64>) {
         sim.state += 1;
         if sim.state < 50_000 {
@@ -717,27 +712,28 @@ fn sims(b: &mut Bench) {
 
     // Deterministic service with bounded queues: the periodic steady
     // state is advanced in closed form by the cycle-jump fast-forward
-    // (its `events` count the virtual events skipped).
-    let det = |total_input: u64, fast_forward: bool| SimConfig {
+    // (its `events` count the virtual events skipped). A traced run
+    // cannot jump, so it is the exact-stepping twin.
+    let det = |total_input: u64, trace: bool| SimConfig {
         service_model: ServiceModel::Deterministic,
         queue_capacity: Some(64 << 10),
-        fast_forward,
+        trace,
         ..untraced(total_input)
     };
     let jump = sim(
         b,
         "streamsim BITW 1 GiB det, cycle-jump",
         &bitw_p,
-        &det(1 << 30, true),
+        &det(1 << 30, false),
     );
     let exact = sim(
         b,
-        "streamsim BITW 1 GiB det, exact stepping",
+        "streamsim BITW 1 GiB det, exact stepping (traced)",
         &bitw_p,
-        &det(1 << 30, false),
+        &det(1 << 30, true),
     );
     b.speedup(
-        "BITW 1 GiB det: cycle-jump vs exact stepping",
+        "BITW 1 GiB det: cycle-jump vs exact stepping (traced)",
         "",
         exact,
         jump,
@@ -746,7 +742,7 @@ fn sims(b: &mut Bench) {
         b,
         "streamsim BITW 16 GiB det, cycle-jump",
         &bitw_p,
-        &det(16 << 30, true),
+        &det(16 << 30, false),
     );
 
     // Queue discipline: the paper's unbounded queues vs backpressure.

@@ -546,7 +546,6 @@ pub mod tailload {
                 queue_capacities: None,
                 trace: false,
                 service_model: ServiceModel::Uniform,
-                fast_forward: true,
                 faults: None,
             };
             if self.pipeline.nodes.iter().any(|n| n.fault.is_some()) {

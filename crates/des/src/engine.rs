@@ -18,10 +18,7 @@
 //! simulation schedules does — fn pointers and a captured index), and
 //! falls back to a single box only for larger captures. A calendar
 //! entry is five words total (time, sequence number, vtable pointer,
-//! payload), keeping binary-heap sifts cheap. For repeated
-//! replications over the same state type (Monte-Carlo), a [`SimPool`]
-//! recycles the calendar's backing storage so steady-state replication
-//! does not touch the allocator at all.
+//! payload), keeping binary-heap sifts cheap.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -259,16 +256,6 @@ impl<S> Calendar<S> {
             Calendar::Heap(h) => h.peek().map(|Reverse(e)| e.at),
         }
     }
-
-    fn clear(&mut self) {
-        if let Calendar::Heap(h) = self {
-            *self = Calendar::Scan(std::mem::take(h).into_vec());
-        }
-        match self {
-            Calendar::Scan(v) => v.clear(),
-            Calendar::Heap(_) => unreachable!(),
-        }
-    }
 }
 
 /// A discrete-event simulation over world state `S`.
@@ -380,64 +367,6 @@ impl<S: 'static> Sim<S> {
         if self.now < horizon {
             self.now = horizon;
         }
-    }
-}
-
-/// Recycled calendar storage for repeated simulations over one state
-/// type.
-///
-/// Monte-Carlo drivers [`take`](SimPool::take) a fresh simulation per
-/// replication and [`put`](SimPool::put) it back when done; after the
-/// first replication has grown the calendar to the workload's high-water
-/// mark, subsequent replications run without allocating.
-pub struct SimPool<S: 'static> {
-    calendars: Vec<Calendar<S>>,
-}
-
-impl<S: 'static> Default for SimPool<S> {
-    fn default() -> Self {
-        SimPool::new()
-    }
-}
-
-impl<S: 'static> SimPool<S> {
-    /// An empty pool.
-    pub fn new() -> SimPool<S> {
-        SimPool {
-            calendars: Vec::new(),
-        }
-    }
-
-    /// Calendars currently parked in the pool.
-    pub fn idle(&self) -> usize {
-        self.calendars.len()
-    }
-
-    /// A simulation at time zero over `state`, backed by pooled
-    /// calendar storage (or fresh storage when the pool is empty).
-    pub fn take(&mut self, state: S) -> Sim<S> {
-        let calendar = self.calendars.pop().unwrap_or_else(Calendar::new);
-        debug_assert!(calendar.len() == 0);
-        Sim {
-            now: Time::ZERO,
-            seq: 0,
-            processed: 0,
-            calendar,
-            state,
-        }
-    }
-
-    /// Recycle a finished simulation's storage and return its state.
-    /// Pending events are dropped without running.
-    pub fn put(&mut self, sim: Sim<S>) -> S {
-        let Sim {
-            mut calendar,
-            state,
-            ..
-        } = sim;
-        calendar.clear();
-        self.calendars.push(calendar);
-        state
     }
 }
 
@@ -557,48 +486,5 @@ mod tests {
             // Dropped without running.
         }
         assert_eq!(Rc::strong_count(&token), 1);
-    }
-
-    #[test]
-    fn pool_recycles_calendar_storage() {
-        let mut pool: SimPool<u32> = SimPool::new();
-        let mut sim = pool.take(0);
-        fn chain(sim: &mut Sim<u32>) {
-            sim.state += 1;
-            if sim.state < 100 {
-                sim.schedule_in(Span::secs(1.0), chain);
-            }
-        }
-        sim.schedule_at(Time::ZERO, chain);
-        sim.run();
-        assert_eq!(pool.put(sim), 100);
-        assert_eq!(pool.idle(), 1);
-
-        // Second replication starts from a clean clock and state.
-        let mut sim = pool.take(0);
-        assert_eq!(sim.now(), Time::ZERO);
-        assert_eq!(sim.events_pending(), 0);
-        assert_eq!(sim.events_processed(), 0);
-        sim.schedule_at(Time::ZERO, chain);
-        sim.run();
-        assert_eq!(sim.state, 100);
-        pool.put(sim);
-        assert_eq!(pool.idle(), 1);
-    }
-
-    #[test]
-    fn pool_discards_pending_events_on_put() {
-        let fired: Rc<RefCell<u32>> = Rc::default();
-        let mut pool: SimPool<()> = SimPool::new();
-        let mut sim = pool.take(());
-        let f = fired.clone();
-        sim.schedule_at(Time::secs(1.0), move |_| *f.borrow_mut() += 1);
-        pool.put(sim);
-        // The pending event was dropped, not run.
-        assert_eq!(*fired.borrow(), 0);
-        let mut sim = pool.take(());
-        sim.run();
-        assert_eq!(*fired.borrow(), 0);
-        pool.put(sim);
     }
 }

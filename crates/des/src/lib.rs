@@ -40,7 +40,7 @@ pub mod stats;
 pub mod time;
 
 pub use agenda::SlotAgenda;
-pub use engine::{Event, Sim, SimPool};
+pub use engine::{Event, Sim};
 pub use link::{link, LinkRx, LinkTx, ProgressGate};
 pub use queue::ByteQueue;
 pub use random::Dist;

@@ -34,7 +34,7 @@
 //!   publication (flush, close, consumer drain) bumps the generation; a
 //!   blocked thread re-polls its inputs and waits for the generation to
 //!   move past the value it saw before polling. The waiter spins
-//!   (bounded, `NC_SPIN_US` microseconds, exponentially growing
+//!   (bounded, 20 µs, exponentially growing
 //!   spin-hint batches) before parking on a condvar, so short waits
 //!   never pay a syscall; the parked path counts waiters so an
 //!   uncontested [`ProgressGate::bump`] is two uncontended atomics and
@@ -45,7 +45,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Default auto-flush threshold of [`LinkTx::send`] (messages buffered
@@ -60,19 +60,8 @@ const BATCH: usize = 256;
 #[repr(align(64))]
 pub struct CachePadded<T>(pub T);
 
-/// Bounded spin budget before a [`ProgressGate`] waiter parks:
-/// `NC_SPIN_US` microseconds (default 20, `0` disables spinning). Read
-/// once per process.
-fn spin_budget() -> Duration {
-    static BUDGET: OnceLock<Duration> = OnceLock::new();
-    *BUDGET.get_or_init(|| {
-        let us = std::env::var("NC_SPIN_US")
-            .ok()
-            .and_then(|s| s.trim().parse::<u64>().ok())
-            .unwrap_or(20);
-        Duration::from_micros(us)
-    })
-}
+/// Bounded spin budget before a [`ProgressGate`] waiter parks.
+const SPIN_BUDGET: Duration = Duration::from_micros(20);
 
 /// The `NC_PUB_QUANTUM` publication quantum: messages buffered per
 /// link publication on `nc-serve`'s shard rings. `1` publishes every
@@ -134,31 +123,28 @@ impl ProgressGate {
     /// Block until the generation differs from `seen`. Returns
     /// immediately if progress already happened since `seen` was read —
     /// publications between the caller's poll and this wait are never
-    /// missed. Spins (bounded by `NC_SPIN_US`, exponentially growing
+    /// missed. Spins (bounded by 20 µs, exponentially growing
     /// spin batches with a yield once the batch saturates) before
     /// parking on the condvar.
     pub fn wait_past(&self, seen: u64) {
         // Spin phase: cheap for the short waits of a balanced run.
-        let budget = spin_budget();
-        if !budget.is_zero() {
-            let start = Instant::now();
-            let mut batch: u32 = 1;
-            loop {
-                for _ in 0..batch {
-                    std::hint::spin_loop();
-                }
-                if self.generation.0.load(Ordering::Acquire) != seen {
-                    return;
-                }
-                if batch < 1 << 10 {
-                    batch <<= 1;
-                } else {
-                    // Saturated: be polite to an oversubscribed host.
-                    std::thread::yield_now();
-                }
-                if start.elapsed() >= budget {
-                    break;
-                }
+        let start = Instant::now();
+        let mut batch: u32 = 1;
+        loop {
+            for _ in 0..batch {
+                std::hint::spin_loop();
+            }
+            if self.generation.0.load(Ordering::Acquire) != seen {
+                return;
+            }
+            if batch < 1 << 10 {
+                batch <<= 1;
+            } else {
+                // Saturated: be polite to an oversubscribed host.
+                std::thread::yield_now();
+            }
+            if start.elapsed() >= SPIN_BUDGET {
+                break;
             }
         }
         // Park phase. The waiter count is raised before the locked

@@ -26,9 +26,10 @@ pub struct SimConfig {
     pub queue_capacity: Option<u64>,
     /// Per-queue capacity override in local bytes of each node's input
     /// (`queue_capacities[i]` feeds node `i`). Overrides
-    /// `queue_capacity` where set; must be at least the node's job size
-    /// and the upstream block (checked by
-    /// [`SimConfig::validate_queues`], enforced by the simulator).
+    /// `queue_capacity` where set; must be at least `job + block −
+    /// gcd(job, block)` for the node's job size and the upstream block
+    /// (checked by [`SimConfig::validate_queues`], enforced by the
+    /// simulator).
     /// Models the Mercator limited queues of §4.1.
     pub queue_capacities: Option<Vec<u64>>,
     /// Record cumulative input/output traces (for Figures 4 and 10).
@@ -40,27 +41,23 @@ pub struct SimConfig {
     /// `(t, bytes)` stairsteps are retained and returned (one entry per
     /// source emission and per sink delivery — O(events) memory), and
     /// deterministic cycle-jump fast-forward is disabled, since a
-    /// skipped cycle cannot emit trace points. Keep tracing for figure
-    /// runs; turn it off for multi-GiB inputs.
+    /// skipped cycle cannot emit trace points: a traced deterministic
+    /// run steps every event, and its statistics are the oracle the
+    /// jumping run is tested against (`DESIGN.md` §10). Keep tracing
+    /// for figure runs; turn it off for multi-GiB inputs.
     pub trace: bool,
     /// Service-time model for every stage. The paper's simulator uses
     /// uniform(min,max) execution times; `Exponential` reproduces the
     /// Markovian assumption of the M/M/1 baseline (ablation), and
     /// `Deterministic` uses the average rate.
     pub service_model: ServiceModel,
-    /// Allow the deterministic engine to fast-forward periodic steady
-    /// states in closed form (default `true`; see `DESIGN.md` §10).
-    /// Results are bit-identical either way — the flag exists for
-    /// ablation and debugging. Ignored (no-op) by the stochastic
-    /// service models, where every service draw must be realized, and
-    /// disabled by `trace: true`.
-    #[serde(default = "default_fast_forward")]
-    pub fast_forward: bool,
     /// Deterministic fault-injection schedule (stalls, derates, outages
     /// with per-stage recovery policies). `None` — and any schedule
     /// with no effective faults — runs the exact fault-free code path,
     /// bit-identical to the unfaulted simulator. Validated against the
-    /// pipeline at simulation setup.
+    /// pipeline at simulation setup. A `Deterministic` run with an
+    /// effective schedule runs on the f64 engine, not the integer-tick
+    /// one.
     #[serde(default)]
     pub faults: Option<FaultSchedule>,
 }
@@ -68,9 +65,10 @@ pub struct SimConfig {
 impl SimConfig {
     /// Validate the queue-capacity configuration against `pipeline`:
     /// `queue_capacities` (when set) must have one entry per node, and
-    /// every bounded queue must admit both its node's job and the
-    /// whole block its producer emits — otherwise the pipeline
-    /// deadlocks the moment the queue fills.
+    /// every bounded queue must admit its node's job, the whole block
+    /// its producer emits, and a level that cannot wedge the pipeline
+    /// (`cap ≥ job + block − gcd(job, block)`) — otherwise the
+    /// pipeline deadlocks once the queue fills.
     ///
     /// The simulation engines enforce the same rules (with a panic);
     /// call this first for a recoverable, typed error.
@@ -83,10 +81,6 @@ impl SimConfig {
         let src_chunk = self.source_chunk.unwrap_or(params[0].job_in).max(1);
         resolved_queue_caps(self, &params, src_chunk).map(|_| ())
     }
-}
-
-fn default_fast_forward() -> bool {
-    true
 }
 
 /// How per-job execution times are drawn from a stage's measured
@@ -112,7 +106,6 @@ impl Default for SimConfig {
             queue_capacities: None,
             trace: true,
             service_model: ServiceModel::Uniform,
-            fast_forward: true,
             faults: None,
         }
     }
@@ -171,6 +164,14 @@ pub(crate) fn derive_params(p: &Pipeline) -> Vec<NodeParams> {
 /// must admit the node's own job and the whole block its upstream
 /// producer emits in one step (the source chunk for queue 0), or the
 /// pipeline wedges the first time the queue fills.
+///
+/// Those two are not enough. The level only ever moves by whole
+/// blocks in and whole jobs out, so it is a multiple of `g = gcd(job,
+/// block)`. The producer blocks when the level exceeds `cap − block`,
+/// and the consumer starts once the level reaches `job`. With `cap ≥
+/// job + block − g`, a blocked producer implies a level above `job −
+/// g`, hence at least `job`: a full job is always queued behind a
+/// blocked producer.
 pub(crate) fn resolved_queue_caps(
     config: &SimConfig,
     params: &[NodeParams],
@@ -213,10 +214,27 @@ pub(crate) fn resolved_queue_caps(
                         need,
                     });
                 }
+                // The gcd divides `job_in`, so it fits in a u64.
+                let g = gcd(node.job_in.into(), need.into()) as u64;
+                let min_safe = (node.job_in - g).saturating_add(need);
+                if cap < min_safe {
+                    return Err(ConfigError::QueueCanWedge {
+                        stage: i,
+                        cap,
+                        min_safe,
+                    });
+                }
             }
             Ok(cap)
         })
         .collect()
+}
+
+pub(crate) fn gcd(mut a: u128, mut b: u128) -> u128 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
 }
 
 /// Flow-control windows for `nc_core::flowctl`, one per inter-stage
@@ -403,6 +421,51 @@ mod tests {
                 need: 16
             })
         );
+    }
+
+    #[test]
+    fn validate_queues_rejects_caps_that_can_wedge() {
+        // 100 B source chunks into 64 B jobs: a 100 B queue holds both,
+        // yet at 36 B queued the source cannot put and the stage cannot
+        // start, so the run would end with 4,900 B never emitted.
+        let p = Pipeline::new(
+            "wedge",
+            Source {
+                rate: Rat::int(1000),
+                burst: Rat::int(100),
+            },
+            vec![Node::new(
+                "a",
+                NodeKind::Compute,
+                StageRates::new(Rat::int(400), Rat::int(500), Rat::int(600)),
+                Rat::ZERO,
+                Rat::int(64),
+                Rat::int(64),
+            )],
+        );
+        let cfg = |cap: u64, service_model: ServiceModel| SimConfig {
+            total_input: 5_000,
+            source_chunk: Some(100),
+            queue_capacity: Some(cap),
+            service_model,
+            trace: false,
+            ..SimConfig::default()
+        };
+        assert_eq!(
+            cfg(100, ServiceModel::Uniform).validate_queues(&p),
+            Err(ConfigError::QueueCanWedge {
+                stage: 0,
+                cap: 100,
+                min_safe: 160
+            })
+        );
+        // 64 + 100 − gcd(64, 100) = 160 is safe: every whole job runs.
+        for model in [ServiceModel::Uniform, ServiceModel::Deterministic] {
+            let c = cfg(160, model);
+            assert_eq!(c.validate_queues(&p), Ok(()));
+            let r = crate::simulate(&p, &c);
+            assert_eq!((r.bytes_out, r.residual), (4_992.0, 8.0), "{model:?}");
+        }
     }
 
     #[test]

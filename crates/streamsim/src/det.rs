@@ -9,8 +9,9 @@
 //!
 //! 1. **Integer ticks.** All model arithmetic runs on `u64` ticks of
 //!    2⁻⁴⁰ s (≈ 0.9 ps; the `u64` range covers ~194 days of simulated
-//!    time). Service times and the source interval are quantized once
-//!    at setup; from then on every timestamp, every statistic, and
+//!    time, and a run that might not fit in half of it goes to the f64
+//!    engine). Service times and the source interval are quantized
+//!    once at setup; from then on every timestamp, every statistic, and
 //!    every queue integral is exact integer arithmetic. This is what
 //!    makes fast-forward *provably* lossless: advancing `k` cycles by
 //!    adding `k·Δ` to integer counters is bit-identical to stepping
@@ -33,11 +34,18 @@
 //!    and stairstep entry shifts by `k·Δt`, and exact event processing
 //!    resumes for the drain tail (including partial final chunks).
 //!
-//! With `fast_forward: false` the same engine runs every event; the
-//! `prop_engine_equiv` property test asserts the two paths produce
-//! bit-identical [`SimResult`]s, bounded queues and partial residuals
-//! included. Tracing (`trace: true`) disables jumping — skipped cycles
-//! cannot emit trace points — but still runs on integer ticks.
+//! A traced run (`trace: true`) cannot jump — a skipped cycle emits no
+//! trace points — so it steps every event on the same integer ticks.
+//! That makes it the stepping oracle: the `prop_engine_equiv` property
+//! test asserts that an untraced (jumping) run reproduces a traced
+//! run's statistics bit for bit, bounded queues and partial residuals
+//! included.
+//!
+//! The engine runs fault-free configurations only. `simulate` sends a
+//! deterministic run with an effective fault schedule to the f64 engine
+//! (`crate::engine`, which draws constant service times for this
+//! model), and so does [`simulate_det`] itself when a sound upper bound
+//! on the run's length does not fit in half the tick range.
 //!
 //! Divergent regimes (an overloaded stage with unbounded queues) never
 //! recur — some queue depth grows every cycle — so the engine steps
@@ -53,14 +61,17 @@ use std::collections::HashMap;
 use nc_core::pipeline::Pipeline;
 use nc_des::SlotAgenda;
 
-use crate::config::{derive_params, NodeParams, SimConfig};
+use crate::config::{derive_params, gcd, NodeParams, SimConfig};
 use crate::engine::{queue_caps, steady_slope};
-use crate::faults::{FaultRt, FaultRtTicks};
 use crate::result::SimResult;
 use crate::ring::StepRing;
 
 /// Ticks per second: 2⁴⁰ (exact in f64).
 const TICK_HZ: f64 = (1u64 << 40) as f64;
+
+/// Longest run the engine takes, in ticks: half the `u64` range, the
+/// other half kept as margin.
+const TICK_LIMIT: u128 = 1 << 63;
 
 /// Agenda slot of the source; node `i` finishes on slot `i + 1`.
 const SRC: usize = 0;
@@ -82,13 +93,6 @@ fn ticks(s: f64) -> u64 {
 /// Ticks back to seconds (exact division by a power of two).
 fn secs(t: u64) -> f64 {
     t as f64 / TICK_HZ
-}
-
-fn gcd128(mut a: u128, mut b: u128) -> u128 {
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a
 }
 
 /// Per-node constants in simulator units.
@@ -178,52 +182,34 @@ struct Det {
     /// Set by `deliver_to_sink`; the main loop fingerprints only at
     /// these between-event boundaries.
     delivered: bool,
-    ff: bool,
     ff_done: bool,
 
-    // Fault injection (integer-tick mirror of `crate::engine`'s).
-    faults: Option<FaultRtTicks>,
-    /// First tick after which no fault window can apply (`u64::MAX`
-    /// when a periodic stall recurs forever). Fast-forward only engages
-    /// at `now ≥ fault_horizon`: beyond it the evolution is time-shift
-    /// invariant again, so fingerprint recurrences stay sound.
-    fault_horizon: u64,
     /// Backpressure horizon: the flow-control model's closed-form
     /// delay bound in ticks, `0` when every queue is unbounded (or the
     /// bound is infinite). Bounded queues reach their limit cycle via
     /// a fill transient whose states never recur; fingerprinting only
-    /// at `now ≥ max(fault_horizon, bp_horizon)` keeps those warmup
-    /// states out of the (capacity-capped) fingerprint table, the same
-    /// way the fault horizon keeps out in-outage states. Like that
-    /// gate, any value here is sound — the gate decides *when* the
-    /// recurrence search starts, never what a recurrence proves.
+    /// at `now ≥ bp_horizon` keeps those warmup states out of the
+    /// (capacity-capped) fingerprint table. Any value here is sound —
+    /// the gate decides *when* the recurrence search starts, never
+    /// what a recurrence proves.
     bp_horizon: u64,
-    /// Input-referred bytes dropped, as an exact numerator over
-    /// `sn_den` (which is scaled to the lcm of all drop quanta at
-    /// setup, so every drop is integral).
-    dropped_num: u128,
-    /// Per-stage input-referred quantum of one dropped job, over
-    /// `sn_den`.
-    drop_amt: Vec<u128>,
-    dropped_jobs: u64,
-    retries: u64,
-    cur_retry: Vec<u32>,
 }
 
-/// Run the deterministic pipeline on the integer-tick engine.
-pub(crate) fn simulate_det(pipeline: &Pipeline, config: &SimConfig) -> SimResult {
+/// Run the deterministic pipeline on the integer-tick engine, or return
+/// `None` when [`run_bound`] does not fit in [`TICK_LIMIT`] (the caller
+/// then runs the f64 engine). The caller also keeps runs with an
+/// effective fault schedule away from this engine; a trivial schedule
+/// is only validated.
+pub(crate) fn simulate_det(pipeline: &Pipeline, config: &SimConfig) -> Option<SimResult> {
     pipeline
         .validate()
         .unwrap_or_else(|e| panic!("simulate: invalid pipeline: {e}"));
-    let mut params = derive_params(pipeline);
+    let params = derive_params(pipeline);
     let n = params.len();
-    let faults_rt = config.faults.as_ref().and_then(|fs| {
+    if let Some(fs) = &config.faults {
         fs.validate(n)
             .unwrap_or_else(|e| panic!("simulate: invalid fault schedule: {e}"));
-        FaultRt::build(fs, n)
-    });
-    if let Some(fr) = &faults_rt {
-        fr.apply_derates(&mut params);
+        debug_assert!(fs.is_trivial(), "faulted runs take the f64 engine");
     }
 
     let src_chunk = config.source_chunk.unwrap_or(params[0].job_in).max(1);
@@ -240,62 +226,24 @@ pub(crate) fn simulate_det(pipeline: &Pipeline, config: &SimConfig) -> SimResult
             startup: ticks(p.startup),
         })
         .collect();
+    let src_interval = ticks(src_chunk as f64 / src_rate).max(1);
+    if run_bound(&nodes, config.total_input, src_chunk, src_interval) > TICK_LIMIT {
+        return None;
+    }
     let (mut sn_num, mut sn_den) = (1u128, 1u128);
     for nd in &nodes {
         sn_num *= nd.job_in as u128;
         sn_den *= nd.job_out as u128;
-        let g = gcd128(sn_num, sn_den);
+        let g = gcd(sn_num, sn_den);
         sn_num /= g;
         sn_den /= g;
     }
 
-    let faults = faults_rt.as_ref().map(|fr| fr.to_ticks(ticks));
-    let fault_horizon = faults.as_ref().map_or(0, |ft| ft.horizon);
-    let bp_horizon = if config.fast_forward && !config.trace && q_cap.iter().any(Option::is_some) {
+    let bp_horizon = if !config.trace && q_cap.iter().any(Option::is_some) {
         backpressure_horizon(pipeline, config)
     } else {
         0
     };
-    // Drop-policy accounting: one dropped job at stage `i` removes
-    // `job_in[i] · norm[i]` input-referred bytes — a rational quantum.
-    // Scale the shared denominator to the lcm of `sn_den` and every
-    // drop stage's quantum denominator so all in-flight/delay levels
-    // stay exact integers. Without drops this leaves `sn_num/sn_den`
-    // untouched (the fault-free arithmetic, bit for bit).
-    let mut drop_amt = vec![0u128; n];
-    if let Some(ft) = &faults {
-        if ft.any_drops() {
-            // quantum_i = job_in[i] · ∏_{j<i} job_in[j]/job_out[j].
-            let (mut nn, mut dd) = (1u128, 1u128);
-            let quanta: Vec<(u128, u128)> = nodes
-                .iter()
-                .map(|nd| {
-                    let qn = nd.job_in as u128 * nn;
-                    let g = gcd128(qn, dd);
-                    let q = (qn / g, dd / g);
-                    nn *= nd.job_in as u128;
-                    dd *= nd.job_out as u128;
-                    let g = gcd128(nn, dd);
-                    nn /= g;
-                    dd /= g;
-                    q
-                })
-                .collect();
-            let mut den = sn_den;
-            for (i, &(_, qd)) in quanta.iter().enumerate() {
-                if ft.drops(i) {
-                    den = den / gcd128(den, qd) * qd;
-                }
-            }
-            sn_num *= den / sn_den;
-            sn_den = den;
-            for (i, &(qn, qd)) in quanta.iter().enumerate() {
-                if ft.drops(i) {
-                    drop_amt[i] = qn * (den / qd);
-                }
-            }
-        }
-    }
 
     let mut w = Det {
         nodes,
@@ -311,7 +259,7 @@ pub(crate) fn simulate_det(pipeline: &Pipeline, config: &SimConfig) -> SimResult
         pending_out: vec![None; n],
         src_remaining: config.total_input,
         src_chunk,
-        src_interval: ticks(src_chunk as f64 / src_rate).max(1),
+        src_interval,
         src_blocked: false,
         sn_num,
         sn_den,
@@ -332,16 +280,8 @@ pub(crate) fn simulate_det(pipeline: &Pipeline, config: &SimConfig) -> SimResult
         now: 0,
         events: 0,
         delivered: false,
-        ff: config.fast_forward,
         ff_done: false,
-        faults,
-        fault_horizon,
         bp_horizon,
-        dropped_num: 0,
-        drop_amt,
-        dropped_jobs: 0,
-        retries: 0,
-        cur_retry: vec![0u32; n],
     };
 
     let mut fp_map: HashMap<Vec<u64>, Snap> = HashMap::new();
@@ -360,17 +300,36 @@ pub(crate) fn simulate_det(pipeline: &Pipeline, config: &SimConfig) -> SimResult
         } else {
             w.finish(slot - 1);
         }
-        if w.delivered
-            && w.ff
-            && !w.ff_done
-            && !w.trace
-            && w.now >= w.fault_horizon.max(w.bp_horizon)
-        {
+        if w.delivered && !w.ff_done && !w.trace && w.now >= w.bp_horizon {
             w.try_jump(&mut fp_map, &mut fp_buf, &mut fp_clears);
         }
     }
 
-    assemble(&w, &params)
+    Some(assemble(&w, &params))
+}
+
+/// A sound upper bound on the run's length in ticks: source emissions ×
+/// emission interval, plus each stage's startup and most jobs × exec.
+///
+/// Until the run ends some event is pending (an empty agenda ends the
+/// loop, and only events arm events), and the only events are the
+/// source's next emission, armed for one interval, and the completion
+/// of a busy stage. So the run lasts at most the time the source spends
+/// armed plus the time the stages spend busy.
+fn run_bound(nodes: &[DetNode], total_input: u64, src_chunk: u64, src_interval: u64) -> u128 {
+    let emissions = u128::from(total_input.div_ceil(src_chunk));
+    let mut bound = emissions.saturating_mul(src_interval.into());
+    // Local bytes that can reach each stage: the whole input for the
+    // first, then the output of every whole job upstream.
+    let mut bytes_in = u128::from(total_input);
+    for nd in nodes {
+        let jobs = bytes_in / u128::from(nd.job_in);
+        bound = bound
+            .saturating_add(nd.startup.into())
+            .saturating_add(jobs.saturating_mul(nd.exec.into()));
+        bytes_in = jobs.saturating_mul(nd.job_out.into());
+    }
+    bound
 }
 
 /// The flow-control delay bound of the pipeline's deterministic twin,
@@ -468,26 +427,6 @@ impl Det {
     }
 
     fn try_start(&mut self, i: usize) {
-        // Drop-policy outage: jobs that would start now are consumed
-        // and discarded (mirrors `crate::engine::World::try_start`).
-        while let Some(ft) = &self.faults {
-            if !(ft.drops(i) && ft.in_outage(i, self.now)) {
-                break;
-            }
-            let job_in = self.nodes[i].job_in;
-            if self.busy[i] || self.pending_out[i].is_some() || self.q_level[i] < job_in {
-                break;
-            }
-            self.q_get(i, job_in);
-            self.dropped_jobs += 1;
-            self.dropped_num += self.drop_amt[i];
-            self.inflight -= self.drop_amt[i] as i128;
-            if i == 0 {
-                self.resume_source();
-            } else {
-                self.try_deliver(i - 1);
-            }
-        }
         let job_in = self.nodes[i].job_in;
         if self.busy[i] || self.pending_out[i].is_some() || self.q_level[i] < job_in {
             return;
@@ -502,11 +441,7 @@ impl Det {
         };
         let exec = self.nodes[i].exec;
         self.busy_ticks[i] += exec;
-        let span = match &self.faults {
-            None => startup + exec,
-            Some(ft) => ft.extend(i, self.now, startup + exec),
-        };
-        self.agenda.arm(i + 1, self.now + span);
+        self.agenda.arm(i + 1, self.now + startup + exec);
         if i == 0 {
             self.resume_source();
         } else {
@@ -537,34 +472,9 @@ impl Det {
         }
     }
 
-    /// Retry-policy outage check at completion time (mirrors
-    /// `crate::engine::World::try_retry`, on ticks).
-    fn try_retry(&mut self, i: usize) -> bool {
-        let Some(ft) = &self.faults else { return false };
-        let Some((base, cap)) = ft.retry_params(i) else {
-            return false;
-        };
-        if !ft.in_outage(i, self.now) {
-            self.cur_retry[i] = 0;
-            return false;
-        }
-        let k = self.cur_retry[i].min(30);
-        let backoff = base.saturating_mul(1u64 << k).min(cap);
-        self.cur_retry[i] = self.cur_retry[i].saturating_add(1);
-        self.retries += 1;
-        let exec = self.nodes[i].exec;
-        self.busy_ticks[i] += exec;
-        let span = backoff + ft.extend(i, self.now + backoff, exec);
-        self.agenda.arm(i + 1, self.now + span);
-        true
-    }
-
     fn finish(&mut self, i: usize) {
         debug_assert!(self.busy[i]);
         debug_assert!(self.pending_out[i].is_none());
-        if self.try_retry(i) {
-            return;
-        }
         self.busy[i] = false;
         self.jobs_done[i] += 1;
         self.pending_out[i] = Some(self.nodes[i].job_out);
@@ -578,10 +488,7 @@ impl Det {
 
         // Virtual delay: when did this cumulative level enter the
         // system? Levels compare exactly as numerators over `sn_den`.
-        // Dropped data "exited" too (the `+ 0` is exact when nothing
-        // dropped).
-        let level = (self.out_local as u128 * self.sn_num + self.dropped_num)
-            .min(self.cum_in as u128 * self.sn_den);
+        let level = (self.out_local as u128 * self.sn_num).min(self.cum_in as u128 * self.sn_den);
         debug_assert!(!self.steps.is_empty());
         while self.cursor + 1 < self.steps.len()
             && (self.steps.get(self.cursor).1 as u128 * self.sn_den) < level
@@ -760,13 +667,10 @@ impl Det {
         });
         // Fingerprint equality pinned the in-flight numerator, so
         // Δin·sn_den == Δout·sn_num and `inflight` is unchanged.
-        // (Drops only happen before `fault_horizon`, and jumping is
-        // gated past it, so `dropped_num` is a constant here.)
         debug_assert_eq!(
             self.inflight,
             self.cum_in as i128 * self.sn_den as i128
                 - self.out_local as i128 * self.sn_num as i128
-                - self.dropped_num as i128
         );
         // One jump consumes all skippable input; the tail runs exactly.
         self.ff_done = true;
@@ -836,9 +740,9 @@ fn assemble(w: &Det, params: &[NodeParams]) -> SimResult {
         trace_out: w.trace_out.clone(),
         per_node,
         events: w.events,
-        dropped_jobs: w.dropped_jobs,
-        dropped_bytes: w.dropped_num as f64 / w.sn_den as f64,
-        retries: w.retries,
+        dropped_jobs: 0,
+        dropped_bytes: 0.0,
+        retries: 0,
     }
 }
 
@@ -872,7 +776,7 @@ mod tests {
         )
     }
 
-    fn cfg(total: u64, ff: bool) -> SimConfig {
+    fn cfg(total: u64) -> SimConfig {
         SimConfig {
             seed: 7,
             total_input: total,
@@ -881,25 +785,39 @@ mod tests {
             queue_capacities: None,
             service_model: ServiceModel::Deterministic,
             trace: false,
-            fast_forward: ff,
             faults: None,
         }
+    }
+
+    fn det(p: &Pipeline, c: &SimConfig) -> SimResult {
+        simulate_det(p, c).expect("run fits the tick range")
     }
 
     fn assert_bitwise(a: &SimResult, b: &SimResult) {
         assert_eq!(a, b);
     }
 
+    /// The untraced (jumping) run of `c` against the traced one, which
+    /// cannot jump and so steps every event: equal bit for bit once the
+    /// fields only a traced run fills are cleared. Returns the untraced
+    /// result.
+    fn assert_jump_matches_stepping(p: &Pipeline, c: &SimConfig) -> SimResult {
+        let mut c = c.clone();
+        c.trace = false;
+        let jump = det(p, &c);
+        c.trace = true;
+        let mut step = det(p, &c);
+        step.trace_in.clear();
+        step.trace_out.clear();
+        step.steady_throughput = step.throughput;
+        assert_bitwise(&jump, &step);
+        jump
+    }
+
     #[test]
     fn fast_forward_is_bitwise_identical_unbounded() {
         let p = pipeline(1000, vec![node("a", 800, 64, 64), node("b", 700, 64, 64)]);
-        let slow = simulate_det(&p, &cfg(64 * 5000, false));
-        let fast = simulate_det(&p, &cfg(64 * 5000, true));
-        assert_bitwise(&slow, &fast);
-        // The jump actually engaged: both report the same event count
-        // (it is part of the closed form), so check it against the
-        // expected per-chunk cost instead.
-        assert_eq!(slow.events, fast.events);
+        assert_jump_matches_stepping(&p, &cfg(64 * 5000));
     }
 
     #[test]
@@ -910,13 +828,9 @@ mod tests {
             2000,
             vec![node("a", 1500, 64, 64), node("slow", 400, 64, 64)],
         );
-        let mut c_off = cfg(64 * 4000, false);
-        c_off.queue_capacity = Some(256);
-        let mut c_on = c_off.clone();
-        c_on.fast_forward = true;
-        let slow = simulate_det(&p, &c_off);
-        let fast = simulate_det(&p, &c_on);
-        assert_bitwise(&slow, &fast);
+        let mut c = cfg(64 * 4000);
+        c.queue_capacity = Some(256);
+        assert_jump_matches_stepping(&p, &c);
     }
 
     #[test]
@@ -931,14 +845,10 @@ mod tests {
             2000,
             vec![node("a", 1500, 64, 64), node("slow", 400, 64, 64)],
         );
-        let mut c_off = cfg(64 * 4000, false);
-        c_off.queue_capacities = Some(vec![512, 192]);
-        let mut c_on = c_off.clone();
-        c_on.fast_forward = true;
-        assert!(backpressure_horizon(&p, &c_on) > 0);
-        let slow = simulate_det(&p, &c_off);
-        let fast = simulate_det(&p, &c_on);
-        assert_bitwise(&slow, &fast);
+        let mut c = cfg(64 * 4000);
+        c.queue_capacities = Some(vec![512, 192]);
+        assert!(backpressure_horizon(&p, &c) > 0);
+        let fast = assert_jump_matches_stepping(&p, &c);
         // The run really was backpressured and the jump engaged (the
         // volume is far beyond what exact warmup stepping covers).
         assert!(fast.bytes_out > 0.0);
@@ -949,13 +859,9 @@ mod tests {
         // Total volume not a multiple of chunk or job size: the drain
         // tail has a partial chunk and a residual stuck in the queue.
         let p = pipeline(1000, vec![node("a", 800, 64, 48)]);
-        let mut c_off = cfg(64 * 3000 + 37, false);
-        c_off.source_chunk = Some(50);
-        let mut c_on = c_off.clone();
-        c_on.fast_forward = true;
-        let slow = simulate_det(&p, &c_off);
-        let fast = simulate_det(&p, &c_on);
-        assert_bitwise(&slow, &fast);
+        let mut c = cfg(64 * 3000 + 37);
+        c.source_chunk = Some(50);
+        let fast = assert_jump_matches_stepping(&p, &c);
         assert!(fast.residual > 0.0);
     }
 
@@ -966,17 +872,15 @@ mod tests {
             1000,
             vec![node("pack", 900, 64, 16), node("unpack", 850, 16, 64)],
         );
-        let slow = simulate_det(&p, &cfg(64 * 4000, false));
-        let fast = simulate_det(&p, &cfg(64 * 4000, true));
-        assert_bitwise(&slow, &fast);
+        assert_jump_matches_stepping(&p, &cfg(64 * 4000));
     }
 
     #[test]
     fn fast_forward_scales_sublinearly() {
         // 64× the input must not cost 64× the events when jumping.
         let p = pipeline(1000, vec![node("a", 800, 64, 64)]);
-        let small = simulate_det(&p, &cfg(64 * 1000, true));
-        let large = simulate_det(&p, &cfg(64 * 64000, true));
+        let small = det(&p, &cfg(64 * 1000));
+        let large = det(&p, &cfg(64 * 64000));
         // Events *reported* are identical to the exact engine's (the
         // closed form includes them), but the work done is the warmup +
         // one period + drain; sanity-check the volume really scaled.
@@ -994,9 +898,9 @@ mod tests {
         // The tick engine deviates from the f64 reference only by the
         // one-time 2⁻⁴⁰ s quantization of each interval.
         let p = pipeline(1000, vec![node("a", 800, 64, 64), node("b", 700, 64, 64)]);
-        let mut c = cfg(64 * 500, true);
+        let mut c = cfg(64 * 500);
         c.trace = true;
-        let tick = simulate_det(&p, &c);
+        let tick = det(&p, &c);
         let refr = simulate_reference(&p, &c);
         let close = |a: f64, b: f64, what: &str| {
             let denom = b.abs().max(1e-9);
@@ -1019,124 +923,59 @@ mod tests {
         // recurs, the engine must fall back to exact stepping (and the
         // fingerprint table must not blow up the run).
         let p = pipeline(1000, vec![node("slow", 250, 64, 64)]);
-        let slow = simulate_det(&p, &cfg(64 * 2000, false));
-        let fast = simulate_det(&p, &cfg(64 * 2000, true));
-        assert_bitwise(&slow, &fast);
+        let fast = assert_jump_matches_stepping(&p, &cfg(64 * 2000));
         assert!(fast.residual == 0.0);
         assert!(fast.peak_backlog > 64.0 * 100.0);
     }
 
-    // --- fault injection × fast-forward ---
-
-    use crate::faults::{FaultSchedule, Outage, RecoveryPolicy, StallSpec};
-
     #[test]
     fn zero_fault_schedule_is_bit_identical_det() {
         let p = pipeline(1000, vec![node("a", 800, 64, 64), node("b", 700, 64, 64)]);
-        let base = simulate_det(&p, &cfg(64 * 3000, true));
-        let mut c = cfg(64 * 3000, true);
-        c.faults = Some(FaultSchedule::none(2));
-        let faulted = simulate_det(&p, &c);
+        let base = det(&p, &cfg(64 * 3000));
+        let mut c = cfg(64 * 3000);
+        c.faults = Some(crate::faults::FaultSchedule::none(2));
+        let faulted = det(&p, &c);
         assert_bitwise(&base, &faulted);
-    }
-
-    #[test]
-    fn fast_forward_bitwise_identical_under_outage_faults() {
-        // Outage windows end: past the fault horizon the run is
-        // time-shift invariant again and the jump must re-engage
-        // losslessly. Exercise Block, Drop, and Retry policies.
-        for (recovery, label) in [
-            (RecoveryPolicy::Block, "block"),
-            (RecoveryPolicy::Drop, "drop"),
-            (
-                RecoveryPolicy::Retry {
-                    base: 0.01,
-                    cap: 0.08,
-                },
-                "retry",
-            ),
-        ] {
-            let p = pipeline(1000, vec![node("a", 800, 64, 64), node("b", 700, 64, 64)]);
-            let mut fs = FaultSchedule::none(2);
-            fs.stages[1].outages = vec![Outage {
-                start: 5.0,
-                duration: 2.0,
-            }];
-            fs.stages[1].recovery = recovery;
-            let mut c_off = cfg(64 * 5000, false);
-            c_off.faults = Some(fs);
-            let mut c_on = c_off.clone();
-            c_on.fast_forward = true;
-            let slow = simulate_det(&p, &c_off);
-            let fast = simulate_det(&p, &c_on);
-            assert_eq!(slow, fast, "policy {label}");
-        }
-    }
-
-    #[test]
-    fn periodic_stall_disables_jump_but_stays_exact() {
-        // A recurring stall never clears the fault horizon: both runs
-        // must step every event and agree bitwise.
-        let p = pipeline(1000, vec![node("a", 800, 64, 64)]);
-        let mut fs = FaultSchedule::none(1);
-        fs.stages[0].stall = Some(StallSpec {
-            budget: 0.01,
-            period: 0.1,
-        });
-        let mut c_off = cfg(64 * 1500, false);
-        c_off.faults = Some(fs);
-        let mut c_on = c_off.clone();
-        c_on.fast_forward = true;
-        let slow = simulate_det(&p, &c_off);
-        let fast = simulate_det(&p, &c_on);
-        assert_bitwise(&slow, &fast);
-        // And the stall really bit: slower than the unfaulted run.
-        let base = simulate_det(&p, &cfg(64 * 1500, true));
-        assert!(fast.makespan > base.makespan);
-    }
-
-    #[test]
-    fn det_drop_accounting_is_exact_with_job_ratios() {
-        // Non-trivial job ratios make the drop quantum a true rational:
-        // the lcm-scaled denominator must keep conservation exact.
-        let p = pipeline(
-            1000,
-            vec![node("pack", 900, 64, 16), node("unpack", 850, 16, 64)],
-        );
-        let total = 64 * 2000;
-        let mut fs = FaultSchedule::none(2);
-        fs.stages[1].outages = vec![Outage {
-            start: 3.0,
-            duration: 5.0,
-        }];
-        fs.stages[1].recovery = RecoveryPolicy::Drop;
-        let mut c = cfg(total, true);
-        c.faults = Some(fs);
-        let r = simulate_det(&p, &c);
-        assert!(r.dropped_jobs > 0);
-        assert!(
-            (r.bytes_out + r.dropped_bytes + r.residual - total as f64).abs() < 1e-6,
-            "out {} + dropped {} + residual {} != {}",
-            r.bytes_out,
-            r.dropped_bytes,
-            r.residual,
-            total
-        );
     }
 
     #[test]
     fn traced_deterministic_run_disables_jump_but_stays_exact() {
         let p = pipeline(1000, vec![node("a", 800, 64, 64)]);
-        let mut c = cfg(64 * 800, true);
+        let mut c = cfg(64 * 800);
         c.trace = true;
-        let traced = simulate_det(&p, &c);
-        let mut c2 = cfg(64 * 800, true);
-        c2.trace = false;
-        let lean = simulate_det(&p, &c2);
+        let traced = det(&p, &c);
+        let lean = det(&p, &cfg(64 * 800));
         assert!(!traced.trace_out.is_empty());
         assert!(lean.trace_out.is_empty());
         assert_eq!(traced.delay_mean, lean.delay_mean);
         assert_eq!(traced.makespan, lean.makespan);
         assert_eq!(traced.events, lean.events);
+    }
+
+    #[test]
+    fn runs_beyond_the_tick_range_take_the_f64_engine() {
+        // A 1/64 B/s source emits a 64 B chunk every 4096 s: 2^19 B of
+        // input last 2^25 s, past the 2^24 s the u64 tick range covers.
+        // The one stage (2 B/s) spends 32 s on each 64 B job.
+        let mut p = pipeline(1, vec![node("s", 2, 64, 64)]);
+        p.source.rate = Rat::new(1, 64);
+        let total = 1u64 << 19;
+        assert!(simulate_det(&p, &cfg(total)).is_none());
+        for trace in [false, true] {
+            let c = SimConfig {
+                trace,
+                ..cfg(total)
+            };
+            let r = crate::simulate(&p, &c);
+            let close = |a: f64, b: f64, what: &str| {
+                assert!(
+                    (a - b).abs() <= 1e-6 * b,
+                    "trace={trace} {what}: {a} vs {b}"
+                );
+            };
+            close(r.bytes_out, total as f64, "bytes_out");
+            close(r.makespan, (1u64 << 25) as f64 - 4096.0 + 32.0, "makespan");
+            close(r.delay_max, 32.0, "delay_max");
+        }
     }
 }

@@ -19,9 +19,12 @@
 //!
 //! ## The thinned event loop
 //!
-//! This module is the *stochastic* engine (Uniform/Exponential service
-//! models); `ServiceModel::Deterministic` dispatches to the integer-tick
-//! engine in [`crate::det`], which adds cycle-jump fast-forward.
+//! This module is the f64 engine: it runs the stochastic service models
+//! (Uniform/Exponential) and the `ServiceModel::Deterministic` runs the
+//! integer-tick engine in [`crate::det`] does not take — those with an
+//! effective fault schedule, or too long for its tick range. Fault-free
+//! deterministic runs go to that engine, which adds cycle-jump
+//! fast-forward.
 //!
 //! The first generation of this engine (preserved verbatim as
 //! [`crate::reference::simulate_reference`]) pushed every source
@@ -59,7 +62,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::config::{derive_params, NodeParams, ServiceModel, SimConfig};
-use crate::faults::FaultRt;
+use crate::faults::{FaultRt, FaultSchedule};
 use crate::result::SimResult;
 use crate::ring::StepRing;
 
@@ -159,11 +162,17 @@ pub fn simulate(pipeline: &Pipeline, config: &SimConfig) -> SimResult {
 
 /// As [`simulate`], reusing `arena`'s buffers across calls.
 pub fn simulate_in(arena: &mut SimArena, pipeline: &Pipeline, config: &SimConfig) -> SimResult {
-    if config.service_model == ServiceModel::Deterministic {
-        // Constant service times consume no randomness: route to the
-        // exact integer-tick engine, which can also fast-forward
-        // periodic steady states (see `crate::det`).
-        return crate::det::simulate_det(pipeline, config);
+    if config.service_model == ServiceModel::Deterministic
+        && config.faults.as_ref().is_none_or(FaultSchedule::is_trivial)
+    {
+        // Constant service times consume no randomness: route fault-free
+        // runs to the exact integer-tick engine, which can also
+        // fast-forward periodic steady states (see `crate::det`). Runs
+        // too long for its tick range stay here, and so do faulted
+        // runs; this engine draws the same constant service times.
+        if let Some(r) = crate::det::simulate_det(pipeline, config) {
+            return r;
+        }
     }
     pipeline
         .validate()
@@ -615,7 +624,6 @@ mod tests {
             queue_capacities: None,
             service_model: ServiceModel::Uniform,
             trace: true,
-            fast_forward: true,
             faults: None,
         }
     }
@@ -764,6 +772,39 @@ mod tests {
         assert_eq!(traced.delay_mean, lean.delay_mean);
         assert_eq!(traced.peak_backlog, lean.peak_backlog);
         assert_eq!(traced.events, lean.events);
+    }
+
+    #[test]
+    fn untraced_memory_stays_flat_as_the_run_grows() {
+        // With `trace: false` the stairstep ring holds only the data in
+        // flight, so its allocation is the same at 1k and 20k chunks
+        // and no output trace is allocated. Traced, the ring keeps one
+        // step per chunk.
+        let p = pipeline(
+            500,
+            vec![node("a", 600, 900, 64, 64), node("b", 700, 1000, 64, 64)],
+        );
+        let capacities = |chunks: u64, trace: bool| {
+            let mut arena = SimArena::new();
+            simulate_in(
+                &mut arena,
+                &p,
+                &SimConfig {
+                    trace,
+                    ..cfg(64 * chunks)
+                },
+            );
+            (arena.ring.capacity(), arena.trace_out.capacity())
+        };
+        let (small, small_out) = capacities(1_000, false);
+        let (large, large_out) = capacities(20_000, false);
+        assert_eq!(small, large);
+        assert!(large <= 16, "untraced ring capacity {large}");
+        assert_eq!((small_out, large_out), (0, 0));
+        for chunks in [1_000, 20_000] {
+            let (ring, _) = capacities(chunks, true);
+            assert!(ring >= chunks as usize, "traced ring capacity {ring}");
+        }
     }
 
     #[test]
@@ -978,6 +1019,40 @@ mod tests {
             total
         );
         assert_eq!(r.retries, 0);
+    }
+
+    #[test]
+    fn det_drop_accounting_is_exact_with_job_ratios() {
+        // Non-trivial job ratios make the drop quantum a true rational;
+        // a faulted deterministic run must still conserve volume.
+        let p = pipeline(
+            1000,
+            vec![
+                node("pack", 900, 900, 64, 16),
+                node("unpack", 850, 850, 16, 64),
+            ],
+        );
+        let total = 64 * 2000;
+        let mut fs = FaultSchedule::none(2);
+        fs.stages[1].outages = vec![Outage {
+            start: 3.0,
+            duration: 5.0,
+        }];
+        fs.stages[1].recovery = RecoveryPolicy::Drop;
+        let mut c = cfg(total);
+        c.service_model = ServiceModel::Deterministic;
+        c.trace = false;
+        c.faults = Some(fs);
+        let r = simulate(&p, &c);
+        assert!(r.dropped_jobs > 0);
+        assert!(
+            (r.bytes_out + r.dropped_bytes + r.residual - total as f64).abs() < 1e-6,
+            "out {} + dropped {} + residual {} != {}",
+            r.bytes_out,
+            r.dropped_bytes,
+            r.residual,
+            total
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   deterministically from the schedule seed (so the analysis-side
 //!   worst-case-phase bound must cover every realization);
 //! * a **rate derate** `δ` — every execution time is scaled by
-//!   `1/(1 − δ)` before sampling/quantization;
+//!   `1/(1 − δ)` before sampling;
 //! * **transient outage windows** `[start, start + duration)` whose
 //!   effect depends on the stage's [`RecoveryPolicy`]:
 //!   - [`Block`](RecoveryPolicy::Block): the window freezes the stage
@@ -32,12 +32,11 @@
 //!
 //! **Engine equivalence.** The thinned and reference engines call the
 //! same f64 [`FaultRt`] curtailment at the same points in the event
-//! protocol, so their bitwise equivalence is preserved under faults;
-//! the deterministic engine uses the integer-tick [`FaultRtTicks`]
-//! mirror and gates cycle-jump fast-forward on the *fault horizon* —
-//! the tick after which no window can ever apply — because a
-//! fingerprint recurrence is only a valid steady-state witness when
-//! the future is time-shift invariant.
+//! protocol, so their bitwise equivalence is preserved under faults,
+//! for every service model. The integer-tick engine (`crate::det`)
+//! never sees an effective schedule: `simulate` runs a faulted
+//! `Deterministic` configuration on the thinned engine, which draws
+//! constant service times for that model.
 
 use nc_core::pipeline::Pipeline;
 use nc_des::Dist;
@@ -202,6 +201,18 @@ pub enum ConfigError {
         /// The upstream block size, local bytes.
         need: u64,
     },
+    /// A queue capacity can wedge the pipeline: the queue's level is
+    /// always a multiple of `g = gcd(job, block)`, so it can sit above
+    /// `cap − block` (producer blocked) and below `job` (consumer
+    /// starved) at once unless `cap ≥ job + block − g`.
+    QueueCanWedge {
+        /// Offending stage index (the queue feeds this node).
+        stage: usize,
+        /// Configured capacity, local bytes.
+        cap: u64,
+        /// The least capacity that cannot wedge, local bytes.
+        min_safe: u64,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -245,6 +256,15 @@ impl std::fmt::Display for ConfigError {
             ConfigError::QueueBelowUpstreamBlock { stage, cap, need } => write!(
                 f,
                 "stage {stage}: queue capacity {cap} is below the upstream block {need}"
+            ),
+            ConfigError::QueueCanWedge {
+                stage,
+                cap,
+                min_safe,
+            } => write!(
+                f,
+                "stage {stage}: queue capacity {cap} can wedge the pipeline; \
+                 the least safe capacity is {min_safe} (job + block - gcd)"
             ),
         }
     }
@@ -371,7 +391,7 @@ struct Stall {
     period: f64,
 }
 
-/// Per-stage runtime fault state, f64 seconds (stochastic engines).
+/// Per-stage runtime fault state, f64 seconds.
 #[derive(Clone, Debug)]
 pub(crate) struct StageRt {
     /// Execution-time scale `1/(1 − derate)`.
@@ -464,7 +484,7 @@ impl FaultRt {
     }
 
     /// Scale every stage's execution-time parameters by its derate
-    /// factor (before sampling/quantization, so all engines agree).
+    /// factor (before sampling, so both f64 engines agree).
     pub(crate) fn apply_derates(&self, params: &mut [NodeParams]) {
         for (p, s) in params.iter_mut().zip(&self.stages) {
             p.exec_min *= s.scale;
@@ -515,47 +535,6 @@ impl FaultRt {
     pub(crate) fn retry_params(&self, i: usize) -> Option<(f64, f64)> {
         self.stages[i].retry
     }
-
-    /// Quantize to the integer-tick mirror used by the deterministic
-    /// engine. `q` is the engine's seconds→ticks quantizer.
-    pub(crate) fn to_ticks(&self, q: impl Fn(f64) -> u64) -> FaultRtTicks {
-        let mut horizon = 0u64;
-        let stages = self
-            .stages
-            .iter()
-            .map(|s| {
-                let stall = s.stall.and_then(|sp| {
-                    let b = q(sp.budget);
-                    if b == 0 {
-                        return None;
-                    }
-                    horizon = u64::MAX; // recurring forever: never jump
-                    Some((q(sp.off), b, q(sp.period).max(b + 1)))
-                });
-                let win = |v: &[(f64, f64)]| -> Vec<(u64, u64)> {
-                    v.iter()
-                        .map(|&(ws, we)| (q(ws), q(we)))
-                        .filter(|&(ws, we)| we > ws)
-                        .collect()
-                };
-                let freezes = win(&s.freezes);
-                let outages = win(&s.outages);
-                for &(_, we) in freezes.iter().chain(&outages) {
-                    if horizon != u64::MAX && we > horizon {
-                        horizon = we;
-                    }
-                }
-                StageRtTicks {
-                    freezes,
-                    outages,
-                    stall,
-                    drop_on_outage: s.drop_on_outage,
-                    retry: s.retry.map(|(b, c)| (q(b).max(1), q(c).max(1))),
-                }
-            })
-            .collect();
-        FaultRtTicks { stages, horizon }
-    }
 }
 
 /// Latest end among freeze windows containing `t` (stall + outages).
@@ -599,127 +578,6 @@ fn next_freeze_start(st: &StageRt, t: f64) -> f64 {
     for &(ws, _) in &st.freezes {
         if ws > t {
             nxt = nxt.min(ws);
-            break;
-        }
-    }
-    nxt
-}
-
-// ---------------------------------------------------------------------
-// Integer-tick mirror (deterministic engine).
-// ---------------------------------------------------------------------
-
-/// Per-stage fault state in ticks.
-#[derive(Clone, Debug)]
-pub(crate) struct StageRtTicks {
-    stall: Option<(u64, u64, u64)>, // (off, budget, period)
-    freezes: Vec<(u64, u64)>,
-    outages: Vec<(u64, u64)>,
-    drop_on_outage: bool,
-    retry: Option<(u64, u64)>,
-}
-
-impl StageRtTicks {
-    fn has_windows(&self) -> bool {
-        self.stall.is_some() || !self.freezes.is_empty()
-    }
-}
-
-/// Integer-tick fault schedule for `det.rs`, plus the *fault horizon*:
-/// the first tick after which no fault can ever apply (`u64::MAX` for
-/// periodic stalls, which recur forever). Cycle-jump fast-forward is
-/// gated on `now ≥ horizon`: beyond it the evolution is time-shift
-/// invariant again, so fingerprint recurrences are sound.
-#[derive(Clone, Debug)]
-pub(crate) struct FaultRtTicks {
-    stages: Vec<StageRtTicks>,
-    pub(crate) horizon: u64,
-}
-
-impl FaultRtTicks {
-    /// Tick analogue of [`FaultRt::extend`]: exact integer arithmetic.
-    pub(crate) fn extend(&self, i: usize, t0: u64, dur: u64) -> u64 {
-        let st = &self.stages[i];
-        if !st.has_windows() {
-            return dur;
-        }
-        let mut t = t0;
-        let mut work = dur;
-        let mut total = 0u64;
-        loop {
-            if let Some(end) = tick_freeze_end(st, t) {
-                total += end - t;
-                t = end;
-                continue;
-            }
-            let nxt = tick_next_freeze_start(st, t);
-            if nxt.is_none_or(|n| t + work <= n) {
-                return total + work;
-            }
-            let n = nxt.unwrap();
-            total += n - t;
-            work -= n - t;
-            t = n;
-        }
-    }
-
-    pub(crate) fn in_outage(&self, i: usize, t: u64) -> bool {
-        self.stages[i].outages.iter().any(|&(s, e)| t >= s && t < e)
-    }
-
-    pub(crate) fn drops(&self, i: usize) -> bool {
-        self.stages[i].drop_on_outage
-    }
-
-    pub(crate) fn retry_params(&self, i: usize) -> Option<(u64, u64)> {
-        self.stages[i].retry
-    }
-
-    /// Any stage dropping jobs during an outage (enables the scaled
-    /// in-flight denominator in the deterministic engine).
-    pub(crate) fn any_drops(&self) -> bool {
-        self.stages
-            .iter()
-            .any(|s| s.drop_on_outage && !s.outages.is_empty())
-    }
-}
-
-fn tick_freeze_end(st: &StageRtTicks, t: u64) -> Option<u64> {
-    let mut end: Option<u64> = None;
-    if let Some((off, b, p)) = st.stall {
-        if t >= off {
-            let start = off + (t - off) / p * p;
-            if t < start + b {
-                end = Some(start + b);
-            }
-        }
-    }
-    for &(ws, we) in &st.freezes {
-        if t >= ws && t < we && end.is_none_or(|e| we > e) {
-            end = Some(we);
-        }
-    }
-    end
-}
-
-fn tick_next_freeze_start(st: &StageRtTicks, t: u64) -> Option<u64> {
-    let mut nxt: Option<u64> = None;
-    if let Some((off, _, p)) = st.stall {
-        let cand = if t < off {
-            off
-        } else {
-            let c = off + (t - off) / p * p;
-            if c <= t {
-                c + p
-            } else {
-                c
-            }
-        };
-        nxt = Some(cand);
-    }
-    for &(ws, _) in &st.freezes {
-        if ws > t {
-            nxt = Some(nxt.map_or(ws, |n| n.min(ws)));
             break;
         }
     }
@@ -822,60 +680,6 @@ mod tests {
         assert!(fr.retry_params(0).is_none());
         // Drop-policy outages do not freeze execution.
         assert_eq!(fr.extend(0, 4.5, 1.0), 1.0);
-    }
-
-    #[test]
-    fn tick_mirror_matches_f64_semantics() {
-        let fr = one(StageFault {
-            stall: Some(StallSpec {
-                budget: 0.5,
-                period: 4.0,
-            }),
-            outages: vec![Outage {
-                start: 20.0,
-                duration: 3.0,
-            }],
-            ..StageFault::default()
-        });
-        let q = |s: f64| (s * 1024.0).round() as u64; // coarse test quantizer
-        let ft = fr.to_ticks(q);
-        assert_eq!(ft.horizon, u64::MAX); // stall present: never jump
-        for (t0, dur) in [(0.0, 10.0), (19.0, 4.0), (21.0, 0.25)] {
-            let f = fr.extend(0, t0, dur);
-            let t = ft.extend(0, q(t0), q(dur));
-            assert!(
-                (f - t as f64 / 1024.0).abs() < 0.01,
-                "t0={t0} dur={dur}: {f} vs {}",
-                t as f64 / 1024.0
-            );
-        }
-        assert!(ft.in_outage(0, q(21.0)));
-        assert!(!ft.in_outage(0, q(23.0)));
-    }
-
-    #[test]
-    fn horizon_is_last_outage_end_without_stalls() {
-        let fr = one(StageFault {
-            outages: vec![
-                Outage {
-                    start: 5.0,
-                    duration: 1.0,
-                },
-                Outage {
-                    start: 30.0,
-                    duration: 2.0,
-                },
-            ],
-            ..StageFault::default()
-        });
-        let q = |s: f64| (s * 1024.0).round() as u64;
-        assert_eq!(fr.to_ticks(q).horizon, q(32.0));
-        // Derate-only schedules have horizon 0: jumping allowed always.
-        let dr = one(StageFault {
-            derate: 0.1,
-            ..StageFault::default()
-        });
-        assert_eq!(dr.to_ticks(q).horizon, 0);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! let the property test arbitrate.
 
 use nc_core::pipeline::Pipeline;
-use nc_des::{ByteQueue, Dist, Sim, SimPool, Span, Tally, Time, TimeWeighted};
+use nc_des::{ByteQueue, Dist, Sim, Span, Tally, Time, TimeWeighted};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -185,8 +185,7 @@ pub fn simulate_reference(pipeline: &Pipeline, config: &SimConfig) -> SimResult 
         t_last_out: 0.0,
     };
 
-    let mut pool: SimPool<World> = SimPool::new();
-    let mut sim = pool.take(world);
+    let mut sim = Sim::new(world);
     sim.schedule_at(Time::ZERO, source_emit);
     sim.run();
 
@@ -223,7 +222,7 @@ pub fn simulate_reference(pipeline: &Pipeline, config: &SimConfig) -> SimResult 
     } else {
         0.0
     };
-    let result = SimResult {
+    SimResult {
         bytes_out,
         makespan,
         throughput,
@@ -245,9 +244,7 @@ pub fn simulate_reference(pipeline: &Pipeline, config: &SimConfig) -> SimResult 
         dropped_jobs: w.dropped_jobs,
         dropped_bytes: w.dropped_norm,
         retries: w.retries,
-    };
-    pool.put(sim);
-    result
+    }
 }
 
 /// Source event: emit one chunk into the first queue (or block on a

@@ -71,6 +71,12 @@ impl<T: Copy> StepRing<T> {
         }
     }
 
+    /// Entries the buffer has room for without reallocating.
+    #[cfg(test)]
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
     /// Live entries in index order (all entries when never pruned).
     pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
         self.buf.iter().copied()

@@ -109,7 +109,6 @@ proptest! {
             queue_capacities: None,
             service_model: nc_streamsim::ServiceModel::Uniform,
             trace: true,
-            fast_forward: true,
             faults: None,
         };
         let r = simulate(&p, &cfg);

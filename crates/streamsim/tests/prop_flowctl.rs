@@ -112,7 +112,6 @@ fn cfg(case: &GenCase, caps: Vec<u64>, seed: u64, model: ServiceModel) -> SimCon
         queue_capacities: Some(caps),
         trace: false,
         service_model: model,
-        fast_forward: true,
         faults: None,
     }
 }

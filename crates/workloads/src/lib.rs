@@ -30,10 +30,8 @@ pub mod blast;
 pub mod fasta;
 pub mod link;
 pub mod lz4;
-pub mod lz4frame;
 pub mod measure;
 pub mod requests;
-pub mod xxhash;
 
 pub use link::LinkModel;
 pub use measure::{measure_repeated, measure_stage, StageMeasurement};

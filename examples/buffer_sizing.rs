@@ -66,7 +66,6 @@ fn run_with_caps(caps: Option<Vec<u64>>) -> (f64, f64) {
             queue_capacities: caps,
             service_model: streamcalc::streamsim::ServiceModel::Uniform,
             trace: false,
-            fast_forward: true,
             faults: None,
         },
     );

@@ -52,7 +52,6 @@ fn main() {
                 queue_capacities: None,
                 service_model: streamcalc::streamsim::ServiceModel::Uniform,
                 trace: false,
-                fast_forward: true,
                 faults: None,
             },
         );

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, the tier-1 build+test pass, the
-# perfbench build check, the artifact determinism and containment
-# gates, and the perf gate. Run from anywhere inside the repo.
+# perfbench build check, the artifact determinism, drift and
+# containment gates, and the perf gate. Run from anywhere inside the
+# repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -131,6 +132,16 @@ print(f"tail gate: {len(rows)} rows, every empirical quantile within the analyti
 PY
 rm -f results/tail_smoke.csv
 
+echo "==> artifacts: the repro bins rewrite results/ byte for byte"
+# The lanes above rewrote the sweep, overload, admission, fleet and
+# faults artifacts at their committed sizes; these bins rewrite the
+# rest. table2 and repro write host-timed rates, so they stay out.
+for bin in fig1 fig4 fig10 table1 table3 montecarlo; do
+  cargo run --release -q -p nc-bench --bin "$bin" > /dev/null
+done
+git diff --exit-code -- results/ \
+  || { echo "FAIL: results/ differs from the committed artifacts" >&2; exit 1; }
+
 echo "==> coverage lane (warn-only, skipped when cargo-llvm-cov absent)"
 if command -v cargo-llvm-cov > /dev/null 2>&1; then
   # Line-coverage floor on the library crates; warn-only so a dip
@@ -152,5 +163,9 @@ echo "==> perf gate: every perfbase row runs; findings warn (PERFGATE_STRICT=1 f
 # A perfbase run that panics or fails a correctness assert writes no
 # snapshot and fails here in either mode.
 scripts/perfgate.sh
+
+echo "==> artifacts: perfbase's bin reruns left results/ byte-identical"
+git diff --exit-code -- results/ \
+  || { echo "FAIL: results/ differs from the committed artifacts" >&2; exit 1; }
 
 echo "==> all checks passed"

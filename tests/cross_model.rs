@@ -60,7 +60,6 @@ fn all_three_models_agree_on_the_bottleneck() {
             queue_capacities: None,
             service_model: nc_streamsim::ServiceModel::Uniform,
             trace: false,
-            fast_forward: true,
             faults: None,
         },
     );
@@ -136,7 +135,6 @@ fn des_validates_nc_delay_on_deterministic_stage() {
             queue_capacities: None,
             service_model: nc_streamsim::ServiceModel::Uniform,
             trace: false,
-            fast_forward: true,
             faults: None,
         },
     );
@@ -272,7 +270,6 @@ fn three_model_grid_containment() {
                 queue_capacities: None,
                 service_model: nc_streamsim::ServiceModel::Uniform,
                 trace: false,
-                fast_forward: true,
                 faults: None,
             },
         );
@@ -404,7 +401,6 @@ fn stochastic_tail_p99_grid_containment() {
                     queue_capacities: None,
                     service_model: nc_streamsim::ServiceModel::Uniform,
                     trace: false,
-                    fast_forward: true,
                     faults: None,
                 },
             );
@@ -475,7 +471,6 @@ fn stochastic_tail_million_replica_containment() {
                     queue_capacities: None,
                     service_model: nc_streamsim::ServiceModel::Uniform,
                     trace: false,
-                    fast_forward: true,
                     faults: None,
                 },
             );
