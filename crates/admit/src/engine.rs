@@ -689,20 +689,6 @@ impl AdmissionEngine {
             .ok_or(AdmitError::BadAttach)
     }
 
-    /// The tenant's current local pipeline (as reconfigured so far) —
-    /// the snapshot source for the what-if sidecar and the
-    /// oracle-equality probes of the service integration tests. The
-    /// engine's own decisions never read this back; it is the exact
-    /// pipeline the frozen scalar lane was derived from.
-    pub fn local_pipeline(&self, tenant: TenantId) -> Result<&Pipeline, AdmitError> {
-        Ok(&self
-            .tenants
-            .get(tenant.0)
-            .ok_or(AdmitError::UnknownTenant)?
-            .local
-            .pipeline)
-    }
-
     /// Resident flow counts `(local, remote)` for a tenant.
     pub fn resident(&self, tenant: TenantId) -> Result<(u64, u64), AdmitError> {
         let t = self

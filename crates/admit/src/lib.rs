@@ -58,6 +58,7 @@
 //! request sequences — the cold-start ablation baseline of the
 //! `perfbase` throughput row.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;

@@ -16,6 +16,7 @@
 //! comparisons; `figure4`/`figure10` regenerate the paper's plots as
 //! CSV series.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bitw;

@@ -87,7 +87,8 @@ fn fmt(s: &Summary, unit: &str, scale: f64) -> String {
 
 /// Run `sim` for seeds `0..seeds` over `workers` threads, results in
 /// seed order. Each worker keeps one SimArena, so replications after
-/// its first reuse the grown event calendar instead of reallocating.
+/// its first reuse the grown step ring, output trace and agenda instead
+/// of reallocating.
 fn per_seed<O: Send>(
     seeds: u64,
     workers: usize,

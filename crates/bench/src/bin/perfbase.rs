@@ -28,9 +28,10 @@
 
 use std::process::{Command, Stdio};
 
+use nc_admit::{oracle, ClassId, Placement};
 use nc_apps::{bitw, blast};
 use nc_bench::perf::{self, Row, Snapshot};
-use nc_bench::{admitload, tailload};
+use nc_bench::tailload;
 use nc_core::curve::approx::{sampled_backlog, sampled_delay};
 use nc_core::curve::{shapes, Curve};
 use nc_core::num::{rat, Rat};
@@ -42,6 +43,9 @@ use nc_core::pipeline::{ModelCache, Node, NodeKind, Pipeline, Source, StageRates
 use nc_core::units::mib_per_s;
 use nc_core::{bounds, packetizer};
 use nc_des::{ByteQueue, Dist, Sim, SlotAgenda, Span, Time};
+use nc_serve::fleet;
+use nc_serve::proto::EventKind;
+use nc_serve::replay::replay_inproc;
 use nc_streamsim::{
     flow_windows, simulate, simulate_in, simulate_reference, ServiceModel, SimArena, SimConfig,
 };
@@ -49,6 +53,7 @@ use nc_workloads::aes::{cbc_decrypt_raw, cbc_encrypt_raw, Aes256};
 use nc_workloads::blast::{blast_search, seed_match, QueryIndex, UngappedParams};
 use nc_workloads::fasta::{fa2bit, random_dna};
 use nc_workloads::lz4;
+use nc_workloads::requests::{tenant_requests, ReqKind, RequestConfig};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -833,12 +838,13 @@ fn sweep(b: &mut Bench) {
 const WARM_PAIR: &str = "admit+depart pair, warm engine";
 
 /// The admission engine (DESIGN §13): the warm incremental decision
-/// path, a full trace replay with onboarding amortized in, and the
-/// cold-start oracle (full model rebuild + general curve algebra per
-/// decision) it is measured against.
+/// path, a full in-proc trace replay with trace generation and
+/// onboarding amortized in, and the cold-start oracle (full model
+/// rebuild + general curve algebra per decision) it is measured
+/// against.
 fn admission(b: &mut Bench) {
-    let cfg = admitload::request_config(42, 1, 200);
-    let mut shard = admitload::build_shard(&cfg, &[0]);
+    let cfg = fleet::request_config(42, 1, 200);
+    let mut shard = fleet::build_shard(&cfg, &[0]);
     let (tid, class) = (shard.tenants[0].1, shard.classes[0]);
     let warm = b.time_per_decision(WARM_PAIR, "", 2, || {
         let d = shard.engine.decide(tid, class, 0).expect("in range");
@@ -850,17 +856,51 @@ fn admission(b: &mut Bench) {
         }
         d
     });
-    let trace_cfg = admitload::request_config(7, 4, 250);
-    let trace = nc_workloads::requests::generate(&trace_cfg);
-    let tenants: Vec<usize> = (0..4).collect();
-    let (_, stats) = admitload::replay_shard(&trace_cfg, &trace, &tenants);
-    let what = "trace replay, 4 tenants x 250 arrivals (onboarding included)";
-    b.time_per_decision(what, "", stats.decisions as usize, || {
-        admitload::replay_shard(&trace_cfg, &trace, &tenants)
-    });
+    let trace_cfg = fleet::request_config(7, 4, 250);
+    let arrivals = replay_inproc(&trace_cfg, &[])
+        .decisions
+        .iter()
+        .filter(|d| d.event == EventKind::Arrive)
+        .count();
+    let what = "in-proc trace replay, 4 tenants x 250 arrivals (trace and onboarding included)";
+    b.time_per_decision(what, "", arrivals, || replay_inproc(&trace_cfg, &[]));
     let what = "cold-start full recompute (oracle)";
-    let cold = b.time_per_decision(what, "", 1, admitload::oracle_decision(&trace_cfg, 0));
+    let cold = b.time_per_decision(what, "", 1, oracle_decision(&trace_cfg, 0));
     b.speedup("incremental vs full recompute", "", cold, warm);
+}
+
+/// The cold-start baseline as a closure: each call answers one
+/// decision through [`nc_admit::oracle::decide_full`] (full model
+/// rebuild + general curve algebra) for `tenant`, against the mid-load
+/// resident population a shadow replay of its arrivals leaves behind.
+fn oracle_decision(config: &RequestConfig, tenant: usize) -> impl FnMut() {
+    let mut shard = fleet::build_shard(config, &[tenant]);
+    let tid = shard.tenants[0].1;
+    let mut resident: Vec<(usize, ClassId)> = Vec::new();
+    for r in tenant_requests(config, tenant) {
+        if let ReqKind::Arrive = r.kind {
+            let class = shard.classes[r.class as usize];
+            if let Ok(d) = shard.engine.decide(tid, class, r.attach as usize) {
+                if d.placement() == Some(Placement::Local) {
+                    resident.push((r.attach as usize, class));
+                }
+            }
+        }
+    }
+    let pipeline = fleet::tenant_pipeline(tenant);
+    let budget = Some(fleet::tenant_budget(tenant));
+    let classes = fleet::flow_classes(config);
+    move || {
+        std::hint::black_box(oracle::decide_full(
+            &pipeline,
+            budget,
+            &classes,
+            &resident,
+            &classes[0],
+            0,
+        ))
+        .ok();
+    }
 }
 
 /// The admission service front (DESIGN §16): the `nc-serve` shard pool
@@ -871,8 +911,8 @@ fn admission(b: &mut Bench) {
 /// 8-tenant fleet per shard count, pool spawn and join included, after
 /// a byte comparison against the in-proc engine.
 fn serve(b: &mut Bench) {
-    use nc_serve::proto::{EventKind, ReqFrame, RequestFrame};
-    use nc_serve::replay::{drive, replay_inproc, replay_service, to_csv, Batching};
+    use nc_serve::proto::{ReqFrame, RequestFrame};
+    use nc_serve::replay::{drive, replay_service, to_csv, Batching};
     use nc_serve::ShardPool;
 
     let frames: Vec<RequestFrame> = (0..4_000u64)
@@ -889,7 +929,7 @@ fn serve(b: &mut Bench) {
             })
         })
         .collect();
-    let cfg = admitload::request_config(42, 1, 200);
+    let cfg = fleet::request_config(42, 1, 200);
     let batched = Batching::Batched { quantum: 256 };
     let mut per_decision = Vec::new();
     for (what, batching) in [
@@ -917,7 +957,7 @@ fn serve(b: &mut Bench) {
     );
     b.speedup("service vs in-proc warm path", "floor=0.5", warm, batched_s);
 
-    let trace_cfg = nc_serve::fleet::request_config(11, 8, 250);
+    let trace_cfg = fleet::request_config(11, 8, 250);
     let want = to_csv(&replay_inproc(&trace_cfg, &[]).decisions);
     for shards in b.widths(&[1, 2, 4]) {
         let got = replay_service(&trace_cfg, shards, batched, &[], false);

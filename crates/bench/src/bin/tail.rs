@@ -17,10 +17,11 @@
 
 use std::time::Instant;
 
-use nc_bench::{env_size, tailload};
+use nc_bench::tailload;
 use nc_core::num::{rat, Rat, Value};
 use nc_core::pipeline::ModelCache;
 use nc_streamsim::Quantiles;
+use nc_sweep::env_size;
 
 /// A bound must be finite to be chartable (and for the containment
 /// check to mean anything).

@@ -18,7 +18,15 @@
 //! engine and its service front, and the repro binaries above, as rows
 //! of the [`perf`] schema. [`perf`] also holds the baseline comparison
 //! behind `scripts/perfgate.sh`.
+//!
+//! The library holds what several binaries share: the tracked BITW
+//! sweep workload, the striped [`fleet`] simulation and the
+//! [`tailload`] scenarios. The admission workload has no copy here:
+//! the `admit` bin and perfbase's admission rows build on `nc-serve`'s
+//! canonical fleet and drive its shard pool and in-proc oracle
+//! directly. Size knobs are read through `nc_sweep::env_size`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fs;
@@ -93,24 +101,6 @@ pub fn bitw_sweep_spec(nx: usize, ny: usize) -> nc_sweep::SweepSpec {
     }
 }
 
-/// A positive-integer size from the environment variable `name`, or
-/// `default` when it is unset. A malformed or zero value warns on
-/// stderr and falls back to `default`.
-pub fn env_size(name: &str, default: usize) -> usize {
-    parse_size(name, std::env::var(name).ok().as_deref(), default)
-}
-
-fn parse_size(name: &str, value: Option<&str>, default: usize) -> usize {
-    match value.map(|s| s.trim().parse::<usize>()) {
-        None => default,
-        Some(Ok(n)) if n >= 1 => n,
-        Some(_) => {
-            eprintln!("{name} must be a positive integer; using {default}");
-            default
-        }
-    }
-}
-
 /// Format the bounds comparison section shared by `table1`/`table3`.
 pub fn format_bounds(app: &str, b: &nc_apps::BoundsReport) -> String {
     use nc_core::num::Rat;
@@ -139,202 +129,6 @@ pub fn format_bounds(app: &str, b: &nc_apps::BoundsReport) -> String {
     )
 }
 
-pub mod admitload {
-    //! The shared admission-control workload: a heterogeneous tenant
-    //! fleet of edge pipelines fed by the `nc-workloads` request
-    //! generator, replayed through the `nc-admit` engine.
-    //!
-    //! The fleet builders and the decision-row codec are canonical in
-    //! `nc-serve` (the networked front replays the identical workload
-    //! over its wire protocol); this module re-exports them and keeps
-    //! the sharded in-proc replay used by the `admit` bin and the
-    //! `perfbase` admission rows.
-    //! Decisions are independent across tenants (each tenant has its
-    //! own path state; the model cache is only consulted at
-    //! onboarding), so a sharded replay that processes whole tenants
-    //! and keys rows by the trace's global [`Request::seq`] reproduces
-    //! the serial output byte for byte — for any `NC_THREADS`.
-    //!
-    //! Rows are [`nc_serve::proto::DecisionFrame`]s: the same struct
-    //! the service puts on the wire, so there is exactly one encode
-    //! path (`DecisionFrame::to_csv`) behind `results/admission.csv`
-    //! no matter which front produced it.
-
-    use nc_admit::{oracle, ClassId, Placement, TenantId};
-    use nc_serve::proto::{EventKind, Outcome};
-    use nc_workloads::requests::{tenant_requests, ReqKind, Request, RequestConfig};
-
-    pub use nc_serve::fleet::{
-        build_shard, flow_classes, remote_pipeline, request_config, shard_tenants, tenant_budget,
-        tenant_pipeline, Shard, STAGES,
-    };
-    pub use nc_serve::proto::DecisionFrame as DecisionRow;
-
-    /// Replay one tenant's request subsequence (trace order) through
-    /// the shard's engine, returning one row per request.
-    ///
-    /// Departures vacate the flow admitted by the referenced arrival
-    /// (`noop` if it was rejected); the admission identity — class,
-    /// requested attach, placement — is tracked per arrival index.
-    pub fn replay_tenant(
-        shard: &mut Shard,
-        tenant_id: TenantId,
-        requests: &[Request],
-    ) -> Vec<DecisionRow> {
-        let mut admitted: Vec<Option<(ClassId, usize, Placement)>> = Vec::new();
-        let mut rows = Vec::with_capacity(requests.len());
-        for r in requests {
-            let class = shard.classes[r.class as usize];
-            let (event, outcome, bound) = match r.kind {
-                ReqKind::Arrive => {
-                    let d = shard
-                        .engine
-                        .decide(tenant_id, class, r.attach as usize)
-                        .expect("trace stays in range");
-                    if admitted.len() <= r.arrive_ix as usize {
-                        admitted.resize(r.arrive_ix as usize + 1, None);
-                    }
-                    admitted[r.arrive_ix as usize] =
-                        d.placement().map(|p| (class, r.attach as usize, p));
-                    (EventKind::Arrive, Outcome::from_decision(&d), d.bound())
-                }
-                ReqKind::Depart { arrive_ix } => {
-                    match admitted.get_mut(arrive_ix as usize).and_then(Option::take) {
-                        Some((c, attach, placement)) => {
-                            shard
-                                .engine
-                                .depart(tenant_id, c, attach, placement)
-                                .expect("resident flow departs cleanly");
-                            (EventKind::Depart, Outcome::Vacate, None)
-                        }
-                        None => (EventKind::Depart, Outcome::Noop, None),
-                    }
-                }
-            };
-            rows.push(DecisionRow {
-                seq: r.seq,
-                time_s: r.time_s,
-                tenant: r.tenant,
-                class: r.class,
-                attach: r.attach,
-                event,
-                outcome,
-                bound,
-            });
-        }
-        rows
-    }
-
-    /// Replay a shard of the globally sequenced trace (from
-    /// [`nc_workloads::requests::generate`]): each listed tenant's
-    /// subsequence, rows in shard-local order — merge by
-    /// [`DecisionRow::seq`] for the global CSV.
-    pub fn replay_shard(
-        config: &RequestConfig,
-        trace: &[Request],
-        tenant_ixs: &[usize],
-    ) -> (Vec<DecisionRow>, nc_admit::EngineStats) {
-        let mut shard = build_shard(config, tenant_ixs);
-        // One pass buckets the trace by tenant, in trace order.
-        let mut slot = vec![None; tenant_ixs.iter().max().map_or(0, |&ix| ix + 1)];
-        for (k, &ix) in tenant_ixs.iter().enumerate() {
-            slot[ix].get_or_insert(k);
-        }
-        let mut buckets: Vec<Vec<Request>> = vec![Vec::new(); tenant_ixs.len()];
-        for r in trace {
-            if let Some(&Some(k)) = slot.get(r.tenant as usize) {
-                buckets[k].push(*r);
-            }
-        }
-        let mut rows = Vec::with_capacity(buckets.iter().map(Vec::len).sum());
-        let pairs: Vec<(usize, TenantId)> = shard.tenants.clone();
-        for (ix, tid) in pairs {
-            let k = slot[ix].expect("shard tenants come from tenant_ixs");
-            rows.extend(replay_tenant(&mut shard, tid, &buckets[k]));
-        }
-        (rows, shard.engine.stats())
-    }
-
-    /// The cold-start baseline as a closure: each call answers one
-    /// decision through [`nc_admit::oracle::decide_full`] (full model
-    /// rebuild + general curve algebra) for `tenant`, against the
-    /// mid-load resident population a shadow replay of its requests
-    /// leaves behind.
-    pub fn oracle_decision(config: &RequestConfig, tenant: usize) -> impl FnMut() {
-        let mut shard = build_shard(config, &[tenant]);
-        let tid = shard.tenants[0].1;
-        let mut resident: Vec<(usize, ClassId)> = Vec::new();
-        for r in tenant_requests(config, tenant) {
-            if let ReqKind::Arrive = r.kind {
-                let class = shard.classes[r.class as usize];
-                if let Ok(d) = shard.engine.decide(tid, class, r.attach as usize) {
-                    if d.placement() == Some(Placement::Local) {
-                        resident.push((r.attach as usize, class));
-                    }
-                }
-            }
-        }
-        let pipeline = tenant_pipeline(tenant);
-        let budget = Some(tenant_budget(tenant));
-        let classes = flow_classes(config);
-        move || {
-            std::hint::black_box(oracle::decide_full(
-                &pipeline,
-                budget,
-                &classes,
-                &resident,
-                &classes[0],
-                0,
-            ))
-            .ok();
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn sharded_replay_reproduces_serial_rows() {
-            let cfg = request_config(11, 6, 40);
-            let trace = nc_workloads::requests::generate(&cfg);
-            let (mut serial, _) = replay_shard(&cfg, &trace, &(0..6).collect::<Vec<_>>());
-            serial.sort_by_key(|r| r.seq);
-            let mut sharded = Vec::new();
-            for shard in shard_tenants(6, 3) {
-                sharded.extend(replay_shard(&cfg, &trace, &shard).0);
-            }
-            sharded.sort_by_key(|r| r.seq);
-            assert_eq!(serial.len(), sharded.len());
-            for (a, b) in serial.iter().zip(&sharded) {
-                assert_eq!(a.to_csv(), b.to_csv());
-            }
-            // The trace actually exercises the interesting outcomes.
-            let admits = serial
-                .iter()
-                .filter(|r| r.outcome.label() == "admit")
-                .count();
-            let departs = serial
-                .iter()
-                .filter(|r| r.outcome.label() == "vacate")
-                .count();
-            assert!(admits > 0 && departs > 0, "degenerate trace");
-        }
-
-        #[test]
-        fn remote_offload_occurs_for_odd_tenants() {
-            let cfg = request_config(11, 2, 400);
-            let trace = nc_workloads::requests::generate(&cfg);
-            let (rows, stats) = replay_shard(&cfg, &trace, &[1]);
-            assert!(stats.decisions > 0);
-            assert!(
-                rows.iter().any(|r| r.outcome.label() == "admit-remote"),
-                "expected at least one remote offload under overload"
-            );
-        }
-    }
-}
-
 pub mod fleet {
     //! Striped fleet simulation: many independent seeded tenant
     //! pipelines batch-simulated across `NC_THREADS` OS workers.
@@ -351,7 +145,7 @@ pub mod fleet {
     use nc_apps::bitw;
     use nc_streamsim::{simulate_in, SimArena, SimResult};
 
-    use crate::env_size;
+    use nc_sweep::env_size;
 
     /// Fleet shape, from the environment: `FLEET_TENANTS` (default
     /// 1000) seeded tenants pushing `FLEET_INPUT_KIB` (default 256)
@@ -734,15 +528,6 @@ pub mod tailload {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn malformed_sizes_warn_and_fall_back() {
-        assert_eq!(parse_size("N", None, 7), 7);
-        assert_eq!(parse_size("N", Some(" 20 "), 7), 20);
-        for bad in ["2O", "", "0", "-3", "1.5"] {
-            assert_eq!(parse_size("N", Some(bad), 7), 7, "{bad:?}");
-        }
-    }
 
     #[test]
     fn results_dir_exists() {

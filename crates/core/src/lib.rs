@@ -24,6 +24,7 @@
 //! assert!(out.is_wide_sense_increasing());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bounds;

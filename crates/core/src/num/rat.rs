@@ -143,11 +143,6 @@ impl Rat {
         self.num as f64 / self.den as f64
     }
 
-    /// `true` iff the value is an integer.
-    pub fn is_integer(self) -> bool {
-        self.den == 1
-    }
-
     /// Sign: `-1`, `0`, or `1`.
     pub fn signum(self) -> i32 {
         self.num.signum() as i32

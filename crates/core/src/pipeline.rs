@@ -137,12 +137,6 @@ impl Node {
         }
     }
 
-    /// Attach a fault hypothesis to the stage (builder style).
-    pub fn with_fault(mut self, fault: FaultModel) -> Node {
-        self.fault = Some(fault);
-        self
-    }
-
     /// The job ratio `job_in / job_out` (> 1 compresses, < 1 expands).
     pub fn job_ratio(&self) -> Rat {
         self.job_in / self.job_out

@@ -24,11 +24,6 @@ pub fn mib(n: i64) -> Rat {
     Rat::int(n * MIB)
 }
 
-/// `n` GiB in bytes.
-pub fn gib(n: i64) -> Rat {
-    Rat::int(n * GIB)
-}
-
 /// `x` MiB/s in bytes/s (accepts fractional measured rates).
 pub fn mib_per_s(x: f64) -> Rat {
     Rat::from_f64(x) * Rat::int(MIB)
@@ -119,7 +114,6 @@ mod tests {
     #[test]
     fn conversions_are_exact() {
         assert_eq!(mib(1), Rat::int(1 << 20));
-        assert_eq!(gib(2), Rat::int(2 << 30));
         assert_eq!(mib_per_s(355.0), Rat::int(355 * (1 << 20)));
         assert_eq!(millis(46.9).to_f64(), 0.0469);
         assert_eq!(micros(38.0).to_f64(), 38.0e-6);

@@ -76,11 +76,6 @@ impl<T: Copy + Ord> SlotAgenda<T> {
         self.armed
     }
 
-    /// `true` if `slot` holds a pending event.
-    pub fn is_armed(&self, slot: usize) -> bool {
-        self.slots[slot].is_some()
-    }
-
     /// Sequence number of `slot`'s pending event, if armed.
     pub fn seq_of(&self, slot: usize) -> Option<u64> {
         self.slots[slot].map(|(_, s)| s)
@@ -102,13 +97,6 @@ impl<T: Copy + Ord> SlotAgenda<T> {
         self.slots[slot] = Some((t, self.seq));
         self.seq += 1;
         self.armed += 1;
-    }
-
-    /// Cancel `slot`'s pending event, if any.
-    pub fn disarm(&mut self, slot: usize) {
-        if self.slots[slot].take().is_some() {
-            self.armed -= 1;
-        }
     }
 
     /// The earliest pending `(slot, time)` without removing it.
@@ -165,10 +153,15 @@ mod tests {
         a.arm(1, 10);
         a.arm(2, 20);
         assert_eq!(a.pending(), 3);
+        // `peek` reports the earliest without removing it.
+        assert_eq!(a.peek(), Some((1, 10)));
+        assert_eq!(a.pending(), 3);
         assert_eq!(a.pop(), Some((1, 10)));
+        assert_eq!(a.peek(), Some((2, 20)));
         assert_eq!(a.pop(), Some((2, 20)));
         assert_eq!(a.pop(), Some((0, 30)));
         assert_eq!(a.pop(), None);
+        assert_eq!(a.peek(), None);
         assert!(a.is_empty());
     }
 
@@ -200,18 +193,6 @@ mod tests {
         let mut a: SlotAgenda<u64> = SlotAgenda::new(1);
         a.arm(0, 1);
         a.arm(0, 2);
-    }
-
-    #[test]
-    fn disarm_and_peek() {
-        let mut a: SlotAgenda<u64> = SlotAgenda::new(2);
-        a.arm(0, 7);
-        a.arm(1, 3);
-        assert_eq!(a.peek(), Some((1, 3)));
-        a.disarm(1);
-        assert_eq!(a.peek(), Some((0, 7)));
-        a.disarm(1); // idempotent
-        assert_eq!(a.pending(), 1);
     }
 
     #[test]

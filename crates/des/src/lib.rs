@@ -29,6 +29,7 @@
 //! assert_eq!(sim.now(), Time::secs(4.0));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod agenda;
@@ -40,7 +41,7 @@ pub mod stats;
 pub mod time;
 
 pub use agenda::SlotAgenda;
-pub use engine::{Event, Sim};
+pub use engine::Sim;
 pub use link::{link, LinkRx, LinkTx, ProgressGate};
 pub use queue::ByteQueue;
 pub use random::Dist;

@@ -39,13 +39,16 @@
 //!   never pay a syscall; the parked path counts waiters so an
 //!   uncontested [`ProgressGate::bump`] is two uncontended atomics and
 //!   no mutex.
+//! * **Closing on drop.** A producer dropped without
+//!   [`LinkTx::close`] — a thread that panicked, say — closes the link,
+//!   so its consumer sees the stream end instead of waiting forever.
 //!
 //! Message content and order on a link are set by its one producer;
 //! the batch size changes only *when* the consumer sees them.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Default auto-flush threshold of [`LinkTx::send`] (messages buffered
@@ -53,7 +56,7 @@ use std::time::{Duration, Instant};
 /// [`LinkTx::set_batch`].
 const BATCH: usize = 256;
 
-/// Pads (and alignes) a value to a 64-byte cache line so two hot
+/// Pads (and aligns) a value to a 64-byte cache line so two hot
 /// fields written by different threads never share a line (false
 /// sharing turns every write into cross-core traffic).
 #[derive(Debug, Default)]
@@ -62,18 +65,6 @@ pub struct CachePadded<T>(pub T);
 
 /// Bounded spin budget before a [`ProgressGate`] waiter parks.
 const SPIN_BUDGET: Duration = Duration::from_micros(20);
-
-/// The `NC_PUB_QUANTUM` publication quantum: messages buffered per
-/// link publication on `nc-serve`'s shard rings. `1` publishes every
-/// message; the default batches 256 per publication. Publication timing
-/// changes latency only, never results.
-pub fn publish_quantum() -> usize {
-    std::env::var("NC_PUB_QUANTUM")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&q| q >= 1)
-        .unwrap_or(256)
-}
 
 /// Process-wide count of link publications (flushes and closes that
 /// made new state visible). Instrumentation for the ring batching
@@ -115,7 +106,7 @@ impl ProgressGate {
             // Notify while holding the lock: a waiter is either already
             // in `cond.wait` (woken now) or will re-check the
             // generation under the lock and see this bump.
-            drop(self.lock.lock().expect("gate poisoned"));
+            drop(self.lock.lock().unwrap_or_else(PoisonError::into_inner));
             self.cond.notify_all();
         }
     }
@@ -153,9 +144,9 @@ impl ProgressGate {
         // notifies under the lock, or this thread's re-check sees the
         // new generation — a wakeup is never lost.
         self.waiters.fetch_add(1, Ordering::SeqCst);
-        let mut g = self.lock.lock().expect("gate poisoned");
+        let mut g = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
         while self.generation.0.load(Ordering::SeqCst) == seen {
-            g = self.cond.wait(g).expect("gate poisoned");
+            g = self.cond.wait(g).unwrap_or_else(PoisonError::into_inner);
         }
         drop(g);
         self.waiters.fetch_sub(1, Ordering::SeqCst);
@@ -248,10 +239,15 @@ impl<T> LinkTx<T> {
     }
 
     /// Move the buffer into the shared queue (and the closed flag, once
-    /// closing) under one lock, then bump the gate.
+    /// closing) under one lock, then bump the gate. Never panics on a
+    /// poisoned lock: it also runs from `Drop` while a thread unwinds.
     fn publish(&mut self) {
         {
-            let mut q = self.shared.queue.lock().expect("link poisoned");
+            let mut q = self
+                .shared
+                .queue
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             let k = self.buf.len();
             q.extend(self.buf.drain(..));
             if k > 0 {
@@ -284,6 +280,15 @@ impl<T> LinkTx<T> {
         }
         self.closed = true;
         self.publish();
+    }
+}
+
+/// A producer dropped without [`LinkTx::close`] — say, by a thread
+/// that panicked — closes the link, so its consumer sees the end of
+/// the stream instead of waiting for messages that will never come.
+impl<T> Drop for LinkTx<T> {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 
@@ -385,6 +390,22 @@ mod tests {
         assert!(rx.exhausted());
         assert!(take_publish_count() >= 1, "the close was published");
         assert_ne!(gate.generation(), seen, "the close bumped the gate");
+    }
+
+    #[test]
+    fn a_dropped_producer_closes_the_link() {
+        let gate = ProgressGate::new();
+        let (mut tx, mut rx) = link::<u32>(1024, &gate);
+        let seen = gate.generation();
+        let producer = std::thread::spawn(move || {
+            tx.send(5);
+            panic!("producer dies without closing");
+        });
+        assert!(producer.join().is_err());
+        assert_ne!(gate.generation(), seen, "the drop bumped the gate");
+        rx.poll();
+        assert_eq!(rx.pop(), Some(5), "buffered messages are published");
+        assert!(rx.exhausted());
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! assert_eq!(t.roofline, 80.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod mg1;

@@ -11,13 +11,16 @@
 //! * `serve --inproc [--out <path>]` — write the in-proc oracle CSV.
 //! * `serve --shutdown <ep>` — send a lone `Shutdown` frame.
 //!
-//! `<ep>` is a UDS path, or `tcp:HOST:PORT`. The fleet shape comes
-//! from the same environment knobs as the `admit` bin —
+//! `<ep>` is a UDS path, or `tcp:HOST:PORT`. A flag with a missing or
+//! unparsable value prints the usage line and exits 1. The fleet shape
+//! comes from the same environment knobs as the `admit` bin —
 //! `ADMIT_FLEET` (default 32 tenants) × `ADMIT_REQS` (default 250
 //! flows/tenant), seed 11 — plus `ADMIT_RECONFIGS` reconfiguration
 //! events per tenant (default 0), `SERVE_SHARDS` engine workers
-//! (default 1), and `SERVE_VERIFY=1` to oracle-check the engine after
-//! every applied reconfiguration.
+//! (default 1), `NC_PUB_QUANTUM` frames per ring publication (default
+//! 256), and `SERVE_VERIFY=1` to oracle-check the engine after every
+//! applied reconfiguration. The size knobs go through
+//! `nc_sweep::env_size`: a malformed value warns and keeps the default.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -26,32 +29,30 @@ use nc_serve::proto::WhatIfFrame;
 use nc_serve::replay::{replay_inproc, request_frames, to_csv};
 use nc_serve::service::{Client, Endpoint, Server};
 use nc_serve::{fleet, RequestFrame, ResponseFrame};
+use nc_sweep::env_size;
 use nc_workloads::requests::{generate, reconfig_events, ReconfigEvent, RequestConfig};
 
-fn env_size(name: &str, default: usize) -> usize {
-    match std::env::var(name) {
-        Ok(s) => match s.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("{name} must be a positive integer; using {default}");
-                default
-            }
-        },
-        Err(_) => default,
+const USAGE: &str = "usage: serve --listen <ep> | --replay <ep> [--out <path>] [--no-verify] \
+                     [--whatif <points>] | --inproc [--out <path>] | --shutdown <ep>";
+
+fn endpoint(arg: &str) -> Option<Endpoint> {
+    match arg.strip_prefix("tcp:") {
+        Some(addr) => addr.parse().ok().map(Endpoint::Tcp),
+        None => Some(Endpoint::Uds(PathBuf::from(arg))),
     }
 }
 
-fn env_count(name: &str) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .unwrap_or(0)
-}
-
-fn endpoint(arg: &str) -> Endpoint {
-    match arg.strip_prefix("tcp:") {
-        Some(addr) => Endpoint::Tcp(addr.parse().expect("endpoint must be tcp:HOST:PORT")),
-        None => Endpoint::Uds(PathBuf::from(arg)),
+/// The value of `flag` (`flag <what>`), parsed: a missing or
+/// unparsable value is a usage error naming the flag.
+fn value<T>(
+    flag: &str,
+    what: &str,
+    arg: Option<&String>,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<T, String> {
+    match arg {
+        None => Err(format!("{flag} needs a value: {flag} {what}")),
+        Some(v) => parse(v).ok_or_else(|| format!("{flag} {what}: cannot parse {v:?}")),
     }
 }
 
@@ -59,12 +60,8 @@ fn fleet_config() -> (RequestConfig, Vec<ReconfigEvent>) {
     let tenants = env_size("ADMIT_FLEET", 32);
     let per_tenant = env_size("ADMIT_REQS", 250);
     let cfg = fleet::request_config(11, tenants, per_tenant);
-    let per_tenant_events = env_count("ADMIT_RECONFIGS");
-    let events = if per_tenant_events > 0 {
-        reconfig_events(&cfg, per_tenant_events, fleet::RECONFIG_TIERS as u32)
-    } else {
-        Vec::new()
-    };
+    let per_tenant_events = env_size("ADMIT_RECONFIGS", 0);
+    let events = reconfig_events(&cfg, per_tenant_events, fleet::RECONFIG_TIERS as u32);
     (cfg, events)
 }
 
@@ -81,43 +78,51 @@ fn write_out(out: Option<&PathBuf>, csv: &str) {
     }
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut listen = None;
-    let mut replay = None;
-    let mut inproc = false;
-    let mut shutdown = None;
-    let mut out: Option<PathBuf> = None;
-    let mut verify_replay = true;
-    let mut whatif = 0usize;
+/// The parsed command line.
+#[derive(Default)]
+struct Args {
+    listen: Option<Endpoint>,
+    replay: Option<Endpoint>,
+    inproc: bool,
+    shutdown: Option<Endpoint>,
+    out: Option<PathBuf>,
+    no_verify: bool,
+    whatif: u32,
+}
+
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut a = Args::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--listen" => listen = Some(endpoint(it.next().expect("--listen <ep>"))),
-            "--replay" => replay = Some(endpoint(it.next().expect("--replay <ep>"))),
-            "--shutdown" => shutdown = Some(endpoint(it.next().expect("--shutdown <ep>"))),
-            "--inproc" => inproc = true,
-            "--out" => out = Some(PathBuf::from(it.next().expect("--out <path>"))),
-            "--no-verify" => verify_replay = false,
-            "--whatif" => {
-                whatif = it
-                    .next()
-                    .expect("--whatif <points>")
-                    .parse()
-                    .expect("--whatif takes a point count")
-            }
-            other => {
-                eprintln!("serve: unknown argument {other}");
-                return ExitCode::FAILURE;
-            }
+            "--listen" => a.listen = Some(value(arg, "<ep>", it.next(), endpoint)?),
+            "--replay" => a.replay = Some(value(arg, "<ep>", it.next(), endpoint)?),
+            "--shutdown" => a.shutdown = Some(value(arg, "<ep>", it.next(), endpoint)?),
+            "--inproc" => a.inproc = true,
+            "--out" => a.out = Some(value(arg, "<path>", it.next(), |v| Some(v.into()))?),
+            "--no-verify" => a.no_verify = true,
+            "--whatif" => a.whatif = value(arg, "<points>", it.next(), |v| v.parse().ok())?,
+            other => return Err(format!("unknown argument {other}")),
         }
     }
+    Ok(a)
+}
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&argv) {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("serve: {e}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     let (cfg, events) = fleet_config();
 
-    if let Some(ep) = listen {
+    if let Some(ep) = args.listen {
         let shards = env_size("SERVE_SHARDS", 1);
-        let quantum = nc_des::link::publish_quantum();
+        let quantum = env_size("NC_PUB_QUANTUM", 256);
         let verify = std::env::var("SERVE_VERIFY").is_ok_and(|v| v.trim() == "1");
         let server = Server::bind(&ep, &cfg, shards, quantum, verify).expect("bind endpoint");
         println!(
@@ -138,20 +143,20 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    if inproc {
+    if args.inproc {
         let oracle = replay_inproc(&cfg, &events);
-        write_out(out.as_ref(), &to_csv(&oracle.decisions));
+        write_out(args.out.as_ref(), &to_csv(&oracle.decisions));
         return ExitCode::SUCCESS;
     }
 
-    if let Some(ep) = replay {
+    if let Some(ep) = args.replay {
         let trace = generate(&cfg);
         let mut frames = request_frames(&trace, &events);
-        if whatif > 0 {
+        if args.whatif > 0 {
             frames.push(RequestFrame::WhatIf(WhatIfFrame {
                 id: 1,
                 tenant: 0,
-                points: whatif as u32,
+                points: args.whatif,
             }));
         }
         let mut client = Client::connect(&ep).expect("connect to server");
@@ -182,8 +187,8 @@ fn main() -> ExitCode {
             decisions.len(),
             decisions.len() as f64 / dt.as_secs_f64()
         );
-        write_out(out.as_ref(), &csv);
-        if verify_replay {
+        write_out(args.out.as_ref(), &csv);
+        if !args.no_verify {
             let oracle = replay_inproc(&cfg, &events);
             let want = to_csv(&oracle.decisions);
             if csv == want {
@@ -196,13 +201,13 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    if let Some(ep) = shutdown {
+    if let Some(ep) = args.shutdown {
         let mut client = Client::connect(&ep).expect("connect to server");
         client.shutdown().expect("send shutdown");
         println!("serve: shutdown sent");
         return ExitCode::SUCCESS;
     }
 
-    eprintln!("serve: pass one of --listen / --replay / --inproc / --shutdown");
+    eprintln!("serve: pass one of --listen / --replay / --inproc / --shutdown\n{USAGE}");
     ExitCode::FAILURE
 }

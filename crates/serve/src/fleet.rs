@@ -2,10 +2,10 @@
 //! the shared datacenter offload path, and the reconfiguration catalog.
 //!
 //! This is the single definition of the workload every admission
-//! consumer shares — the networked service (`shard`), the in-proc
-//! `admit` bin (via the `nc-bench` re-exports), and the `perfbase`
-//! admission and service rows — so the service replay and the in-proc
-//! replay decide against byte-identical models.
+//! consumer shares — the networked service (`shard`), its in-proc
+//! oracle (`replay`), the `admit` bin, and the `perfbase` admission
+//! and service rows — so the service replay and the in-proc replay
+//! decide against byte-identical models.
 
 use nc_admit::{AdmissionEngine, ClassId, FlowClass, TenantId};
 use nc_core::num::Rat;

@@ -26,6 +26,7 @@
 //! builders → [`replay`] deterministic byte-compare harness →
 //! [`sidecar`] what-if answers.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fleet;

@@ -16,9 +16,9 @@
 //!
 //! [`DecisionFrame`] is the **single encode path** for decisions: its
 //! [`DecisionFrame::to_csv`] renders the exact `results/admission.csv`
-//! row format, and both the in-proc `admit` bin and the networked
-//! service produce their CSV through this one type — the wire
-//! representation and the artifact cannot drift.
+//! row format, and both the `admit` bin (through the shard pool) and
+//! the networked service produce their CSV through this one type — the
+//! wire representation and the artifact cannot drift.
 
 use nc_admit::{Decision, Placement, RejectReason};
 use nc_core::num::Rat;
@@ -157,6 +157,19 @@ pub enum RequestFrame {
     WhatIf(WhatIfFrame),
     /// Drain in-flight work and stop the service.
     Shutdown,
+}
+
+impl RequestFrame {
+    /// The routing key: the tenant of an engine frame (`Request`,
+    /// `Reconfigure`), `None` for the service-level frames that never
+    /// reach a shard.
+    pub(crate) fn tenant(&self) -> Option<u32> {
+        match self {
+            RequestFrame::Request(r) => Some(r.tenant),
+            RequestFrame::Reconfigure(r) => Some(r.tenant),
+            RequestFrame::WhatIf(_) | RequestFrame::Shutdown => None,
+        }
+    }
 }
 
 /// Arrival or departure, as recorded in the decision CSV.

@@ -9,9 +9,13 @@
 //! framing cost (the socket loop in `service` adds only the
 //! syscalls). [`replay_inproc`] is the oracle: one engine, the merged
 //! trace in sequence order, reconfigurations applied at their
-//! scheduled positions. `perfbase` times [`drive`] (the feed/drain
-//! loop against a prebuilt pool) for the throughput and
-//! batched-vs-per-request framing rows.
+//! scheduled positions, through the same per-tenant ledger the shard
+//! workers use — so the comparison checks the codec, routing, ring
+//! order, batching and shard count, while the committed
+//! `results/admission.csv` (written by the `admit` bin through
+//! [`replay_service`]) pins the decisions themselves. `perfbase` times
+//! [`drive`] (the feed/drain loop against a prebuilt pool) for the
+//! throughput and batched-vs-per-request framing rows.
 
 use std::sync::Arc;
 
@@ -20,9 +24,9 @@ use nc_workloads::requests::{generate, ReconfigEvent, ReqKind, Request, RequestC
 use crate::fleet;
 use crate::proto::{
     decode_request, decode_response, encode_request, encode_response, DecisionFrame, EventKind,
-    Outcome, ReconfigFrame, ReconfiguredFrame, ReqFrame, RequestFrame, ResponseFrame,
+    ReconfigFrame, ReconfiguredFrame, ReqFrame, RequestFrame, ResponseFrame,
 };
-use crate::shard::{Envelope, ShardPool};
+use crate::shard::{reconfigure, Envelope, Ledger, ShardPool};
 
 /// How the front publishes onto the shard rings.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -122,76 +126,30 @@ pub fn request_frames(trace: &[Request], reconfigs: &[ReconfigEvent]) -> Vec<Req
 
 /// Replay the trace of `config` (plus `reconfigs`) through **one**
 /// in-proc engine in dispatch order — the oracle the service output is
-/// byte-compared against.
+/// byte-compared against. Each tenant's frames go through its own
+/// `Ledger`, the request path the shard workers run.
 pub fn replay_inproc(config: &RequestConfig, reconfigs: &[ReconfigEvent]) -> ServiceReplay {
     let trace = generate(config);
     let frames = request_frames(&trace, reconfigs);
     let built = fleet::build_shard(config, &(0..config.tenants).collect::<Vec<_>>());
     let mut engine = built.engine;
-    let ids = built.classes;
-    let mut admitted: Vec<Vec<Option<(nc_admit::ClassId, usize, nc_admit::Placement)>>> =
-        vec![Vec::new(); config.tenants];
+    let mut ledgers: Vec<Ledger> = (0..config.tenants).map(|_| Ledger::default()).collect();
     let mut decisions = Vec::with_capacity(trace.len());
     let mut out_reconfigs = Vec::with_capacity(reconfigs.len());
     for frame in frames {
         match frame {
             RequestFrame::Request(r) => {
                 let tid = built.tenants[r.tenant as usize].1;
-                let class = ids[r.class as usize];
-                let table = &mut admitted[r.tenant as usize];
-                let (outcome, bound) = match r.event {
-                    EventKind::Arrive => {
-                        let d = engine
-                            .decide(tid, class, r.attach as usize)
-                            .expect("trace stays in range");
-                        if table.len() <= r.arrive_ix as usize {
-                            table.resize(r.arrive_ix as usize + 1, None);
-                        }
-                        table[r.arrive_ix as usize] =
-                            d.placement().map(|p| (class, r.attach as usize, p));
-                        (Outcome::from_decision(&d), d.bound())
-                    }
-                    EventKind::Depart => {
-                        match table.get_mut(r.arrive_ix as usize).and_then(Option::take) {
-                            Some((c, attach, placement)) => {
-                                engine
-                                    .depart(tid, c, attach, placement)
-                                    .expect("resident flow departs cleanly");
-                                (Outcome::Vacate, None)
-                            }
-                            None => (Outcome::Noop, None),
-                        }
-                    }
-                };
-                decisions.push(DecisionFrame {
-                    seq: r.seq,
-                    time_s: r.time_s,
-                    tenant: r.tenant,
-                    class: r.class,
-                    attach: r.attach,
-                    event: r.event,
-                    outcome,
-                    bound,
-                });
+                let ledger = &mut ledgers[r.tenant as usize];
+                decisions.push(ledger.apply(&mut engine, tid, &built.classes, r));
             }
             RequestFrame::Reconfigure(rc) => {
                 let tid = built.tenants[rc.tenant as usize].1;
-                let node =
-                    fleet::reconfig_node(rc.tenant as usize, rc.stage as usize, rc.tier as usize);
-                let (applied, evicted) =
-                    match engine.reconfigure_stage(tid, rc.stage as usize, node) {
-                        Ok(e) => (true, e as u64),
-                        Err(_) => (false, 0),
-                    };
-                out_reconfigs.push(ReconfiguredFrame {
-                    seq: rc.seq,
-                    tenant: rc.tenant,
-                    stage: rc.stage,
-                    applied,
-                    evicted,
-                });
+                out_reconfigs.push(reconfigure(&mut engine, tid, rc).0);
             }
-            RequestFrame::WhatIf(_) | RequestFrame::Shutdown => unreachable!(),
+            RequestFrame::WhatIf(_) | RequestFrame::Shutdown => {
+                unreachable!("request_frames emits only engine frames")
+            }
         }
     }
     ServiceReplay {
@@ -234,11 +192,7 @@ pub fn drive(
                 Ok(None) => break,
                 Err(e) => panic!("self-encoded frame failed to decode: {e}"),
             };
-            let shard = pool.route(match frame {
-                RequestFrame::Request(r) => r.tenant,
-                RequestFrame::Reconfigure(r) => r.tenant,
-                _ => unreachable!("replay sends only engine frames"),
-            });
+            let shard = pool.route(frame.tenant().expect("replay sends only engine frames"));
             if pool.backlogged(shard) {
                 break;
             }
@@ -308,6 +262,7 @@ pub fn replay_service(
 mod tests {
     use super::*;
     use crate::fleet::request_config;
+    use crate::proto::Outcome;
 
     #[test]
     fn service_replay_matches_the_inproc_oracle() {
@@ -324,6 +279,73 @@ mod tests {
         let batched = replay_service(&cfg, 1, Batching::Batched { quantum: 64 }, &[], false);
         let sync = replay_service(&cfg, 1, Batching::PerRequest, &[], false);
         assert_eq!(to_csv(&batched.decisions), to_csv(&sync.decisions));
+    }
+
+    #[test]
+    fn trace_exercises_admits_and_vacates() {
+        let rows = replay_inproc(&request_config(11, 6, 40), &[]).decisions;
+        let count = |o: Outcome| rows.iter().filter(|r| r.outcome == o).count();
+        assert!(
+            count(Outcome::Admit) > 0 && count(Outcome::Vacate) > 0,
+            "degenerate trace"
+        );
+    }
+
+    #[test]
+    fn remote_offload_occurs_for_odd_tenants() {
+        let rows = replay_inproc(&request_config(11, 2, 400), &[]).decisions;
+        let remote: Vec<u32> = rows
+            .iter()
+            .filter(|r| r.outcome == Outcome::AdmitRemote)
+            .map(|r| r.tenant)
+            .collect();
+        assert!(
+            !remote.is_empty(),
+            "expected at least one remote offload under overload"
+        );
+        assert!(
+            remote.iter().all(|t| t % 2 == 1),
+            "only odd tenants offload"
+        );
+    }
+
+    /// A worker that panics must fail whatever drives the pool, with
+    /// the worker's own message, instead of leaving the driver parked
+    /// on the gate. `drive` does not validate frames (the socket front
+    /// does), so an out-of-range stage reaches the engine and panics the
+    /// worker.
+    #[test]
+    fn a_panicking_worker_fails_the_driver() {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let cfg = request_config(11, 1, 4);
+            let mut pool = ShardPool::new(&cfg, 1, 16, false);
+            let bad = RequestFrame::Request(ReqFrame {
+                seq: 0,
+                time_s: 0.0,
+                tenant: 0,
+                class: 0,
+                attach: 99,
+                event: EventKind::Arrive,
+                arrive_ix: 0,
+            });
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                drive(&mut pool, &[bad], Batching::Batched { quantum: 16 })
+            }));
+            let message = outcome.err().map(|p| match p.downcast::<String>() {
+                Ok(s) => *s,
+                Err(p) => p
+                    .downcast_ref::<&str>()
+                    .map_or_else(String::new, |s| s.to_string()),
+            });
+            let _ = done_tx.send(message);
+        });
+        let message = done_rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the driver still waits on a dead worker after 30 s")
+            .expect("the driver returned although its worker panicked");
+        helper.join().expect("the helper reports and exits");
+        assert!(message.contains("stays in range"), "{message}");
     }
 
     #[test]

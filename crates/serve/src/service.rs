@@ -241,8 +241,9 @@ impl Server {
 
     /// Serve until a `Shutdown` frame arrives and all in-flight work
     /// drains. Consumes the server; shard workers and the sidecar are
-    /// joined before returning (propagating any worker panic, e.g. a
-    /// failed verify-mode oracle probe).
+    /// joined before returning. A shard worker's panic (e.g. a failed
+    /// verify-mode oracle probe) is re-raised here as soon as the loop
+    /// drains that worker's closed response ring.
     pub fn run(self) -> io::Result<ServerStats> {
         let Server {
             listener,
@@ -307,11 +308,7 @@ impl Server {
                 // but decoding past it would.
                 if !throttled {
                     if let Some(frame) = conn.pending.take() {
-                        let shard = pool.route(match &frame {
-                            RequestFrame::Request(r) => r.tenant,
-                            RequestFrame::Reconfigure(r) => r.tenant,
-                            _ => unreachable!("only engine frames park"),
-                        });
+                        let shard = pool.route(frame.tenant().expect("only engine frames park"));
                         if pool.backlogged(shard) {
                             conn.pending = Some(frame);
                         } else {
@@ -377,11 +374,9 @@ impl Server {
                             if let RequestFrame::Reconfigure(rc) = &engine_frame {
                                 reconfig_tiers.insert((ix as u32, rc.seq), rc.tier);
                             }
-                            let shard = pool.route(match &engine_frame {
-                                RequestFrame::Request(r) => r.tenant,
-                                RequestFrame::Reconfigure(r) => r.tenant,
-                                _ => unreachable!(),
-                            });
+                            let shard = pool.route(
+                                engine_frame.tenant().expect("an engine frame has a tenant"),
+                            );
                             if pool.backlogged(shard) {
                                 conn.pending = Some(engine_frame);
                             } else {

@@ -27,13 +27,26 @@
 //! the general curve algebra ([`nc_admit::oracle::decide_full`]) after
 //! *every* reconfiguration and asserts equality — the service-level
 //! extension of the seeded `stress_reconfig` suite.
+//!
+//! **One request path.** Every arrival and departure goes through a
+//! tenant's `Ledger`, and every reconfiguration through `reconfigure`:
+//! the shard worker and the in-proc oracle
+//! ([`crate::replay::replay_inproc`]) share both, so they differ only
+//! in routing, rings and wire framing.
+//!
+//! **Worker failure.** A worker that panics drops its response ring,
+//! which closes it and wakes the front. The next [`ShardPool::drain`]
+//! that finds that ring exhausted before [`ShardPool::close_requests`]
+//! re-raises the worker's panic on the caller, so whatever drives the
+//! pool fails with the worker's message instead of waiting forever.
 
 use std::collections::HashMap;
+use std::panic::resume_unwind;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use nc_admit::{oracle, AdmissionEngine, ClassId, Decision, FlowClass, Placement, TenantId};
-use nc_core::pipeline::Pipeline;
+use nc_core::pipeline::{Node, Pipeline};
 use nc_des::link::{link, LinkRx, LinkTx, ProgressGate};
 use nc_workloads::requests::RequestConfig;
 
@@ -62,8 +75,12 @@ pub struct ShardPool {
     gate: Arc<ProgressGate>,
     to_shards: Vec<LinkTx<Envelope<RequestFrame>>>,
     from_shards: Vec<LinkRx<Envelope<ResponseFrame>>>,
-    workers: Vec<JoinHandle<()>>,
+    /// `None` once joined (or once its panic was re-raised).
+    workers: Vec<Option<JoinHandle<()>>>,
     shards: usize,
+    /// Set by [`ShardPool::close_requests`]. Until then a worker exits
+    /// only by panicking.
+    requests_closed: bool,
 }
 
 impl ShardPool {
@@ -95,7 +112,7 @@ impl ShardPool {
                 .expect("spawn shard worker");
             to_shards.push(req_tx);
             from_shards.push(resp_rx);
-            workers.push(handle);
+            workers.push(Some(handle));
         }
         ShardPool {
             gate,
@@ -103,6 +120,7 @@ impl ShardPool {
             from_shards,
             workers,
             shards,
+            requests_closed: false,
         }
     }
 
@@ -144,13 +162,21 @@ impl ShardPool {
 
     /// Drain every newly published response into `out`; `true` if any
     /// arrived.
+    ///
+    /// # Panics
+    /// Re-raises a worker's panic once its response ring is exhausted
+    /// before [`ShardPool::close_requests`]: the worker's dropped ring
+    /// closed itself, and the responses it owes will never come.
     pub fn drain(&mut self, out: &mut Vec<Envelope<ResponseFrame>>) -> bool {
         let mut any = false;
-        for rx in &mut self.from_shards {
+        for (ix, rx) in self.from_shards.iter_mut().enumerate() {
             rx.poll();
             while let Some(env) = rx.pop() {
                 out.push(env);
                 any = true;
+            }
+            if !self.requests_closed && rx.exhausted() {
+                reraise(ix, self.workers[ix].take());
             }
         }
         any
@@ -159,6 +185,7 @@ impl ShardPool {
     /// Close every request ring: shards drain what is in flight, emit
     /// their remaining responses, and exit.
     pub fn close_requests(&mut self) {
+        self.requests_closed = true;
         for tx in &mut self.to_shards {
             tx.close();
         }
@@ -169,8 +196,8 @@ impl ShardPool {
         self.from_shards.iter().all(|rx| rx.exhausted())
     }
 
-    /// Close the rings and join the workers, propagating panics (the
-    /// verify probes assert inside the workers).
+    /// Close the rings and join the workers, re-raising a worker's
+    /// panic (the verify probes assert inside the workers).
     pub fn join(mut self) {
         self.close_requests();
         // Drain any stragglers so no worker parks on a full response
@@ -191,28 +218,133 @@ impl ShardPool {
                 self.gate.wait_past(seen);
             }
         }
-        for h in self.workers.drain(..) {
-            h.join().expect("shard worker panicked");
+        for h in self.workers.drain(..).flatten() {
+            if let Err(payload) = h.join() {
+                resume_unwind(payload);
+            }
         }
     }
 }
 
-/// Per-tenant worker-side state: the engine handle, the
-/// arrival-indexed admission table departures consult, and (verify
-/// mode) the shadow state the oracle recomputes from.
+/// Re-raise the panic of shard worker `ix`, whose response ring closed
+/// before its request ring did.
+fn reraise(ix: usize, worker: Option<JoinHandle<()>>) -> ! {
+    match worker.map(JoinHandle::join) {
+        Some(Err(payload)) => resume_unwind(payload),
+        _ => panic!("shard worker {ix} exited before its request ring closed"),
+    }
+}
+
+/// One tenant's admission ledger: what each arrival admitted, by
+/// arrival index. Every arrival and departure the service or its
+/// in-proc oracle handles is applied through [`Ledger::apply`].
+#[derive(Default)]
+pub(crate) struct Ledger {
+    /// Admission identity `(class, requested attach, placement)` per
+    /// arrival index; `None` = rejected or already vacated.
+    admitted: Vec<Option<(ClassId, usize, Placement)>>,
+}
+
+impl Ledger {
+    /// Apply one arrival or departure of `tenant` to `engine` and
+    /// record what it admitted. A departure vacates the flow its
+    /// arrival admitted (`noop` if that arrival was rejected or has
+    /// already left).
+    ///
+    /// # Panics
+    /// Panics on a class or stage outside the fleet; the socket front
+    /// validates every frame before it reaches a shard.
+    pub(crate) fn apply(
+        &mut self,
+        engine: &mut AdmissionEngine,
+        tenant: TenantId,
+        classes: &[ClassId],
+        r: ReqFrame,
+    ) -> DecisionFrame {
+        let class = classes[r.class as usize];
+        let (outcome, bound) = match r.event {
+            EventKind::Arrive => {
+                let d = engine
+                    .decide(tenant, class, r.attach as usize)
+                    .expect("validated request stays in range");
+                let ix = r.arrive_ix as usize;
+                if self.admitted.len() <= ix {
+                    self.admitted.resize(ix + 1, None);
+                }
+                self.admitted[ix] = d.placement().map(|p| (class, r.attach as usize, p));
+                (Outcome::from_decision(&d), d.bound())
+            }
+            EventKind::Depart => match self
+                .admitted
+                .get_mut(r.arrive_ix as usize)
+                .and_then(Option::take)
+            {
+                Some((c, attach, placement)) => {
+                    engine
+                        .depart(tenant, c, attach, placement)
+                        .expect("resident flow departs cleanly");
+                    (Outcome::Vacate, None)
+                }
+                None => (Outcome::Noop, None),
+            },
+        };
+        DecisionFrame {
+            seq: r.seq,
+            time_s: r.time_s,
+            tenant: r.tenant,
+            class: r.class,
+            attach: r.attach,
+            event: r.event,
+            outcome,
+            bound,
+        }
+    }
+
+    /// The resident `(attach, class)` pairs at `placement`, in arrival
+    /// order. A remote flow sits at stage 0 of the remote pipeline,
+    /// whatever stage it asked for locally.
+    pub(crate) fn resident(&self, placement: Placement) -> Vec<(usize, ClassId)> {
+        self.admitted
+            .iter()
+            .flatten()
+            .filter(|&&(_, _, p)| p == placement)
+            .map(|&(class, attach, p)| (if p == Placement::Local { attach } else { 0 }, class))
+            .collect()
+    }
+}
+
+/// Reprovision stage `rc.stage` of `tenant` at capacity tier `rc.tier`
+/// ([`fleet::reconfig_node`]). Returns the response frame, and the new
+/// node when the engine accepted it.
+pub(crate) fn reconfigure(
+    engine: &mut AdmissionEngine,
+    tenant: TenantId,
+    rc: ReconfigFrame,
+) -> (ReconfiguredFrame, Option<Node>) {
+    let node = fleet::reconfig_node(rc.tenant as usize, rc.stage as usize, rc.tier as usize);
+    let (node, evicted) = match engine.reconfigure_stage(tenant, rc.stage as usize, node.clone()) {
+        Ok(evicted) => (Some(node), evicted as u64),
+        Err(_) => (None, 0),
+    };
+    let frame = ReconfiguredFrame {
+        seq: rc.seq,
+        tenant: rc.tenant,
+        stage: rc.stage,
+        applied: node.is_some(),
+        evicted,
+    };
+    (frame, node)
+}
+
+/// Per-tenant worker-side state: the engine handle, the ledger, and
+/// (verify mode) the shadow pipeline the oracle recomputes from.
 struct TenantSlot {
     /// Global tenant index.
     global: usize,
     tid: TenantId,
-    /// Admission identity per arrival index (`None` = rejected or
-    /// already vacated).
-    admitted: Vec<Option<(ClassId, usize, Placement)>>,
+    ledger: Ledger,
     /// Verify mode: the local pipeline as reconfigured so far.
     shadow_local: Option<Pipeline>,
-    /// Verify mode: resident `(attach, class)` pairs, local pipeline.
-    res_local: Vec<(usize, ClassId)>,
-    /// Verify mode: resident `(attach=0, class)` pairs, remote pipeline.
-    res_remote: Vec<(usize, ClassId)>,
 }
 
 fn shard_worker(
@@ -233,10 +365,8 @@ fn shard_worker(
         .map(|&(global, tid)| TenantSlot {
             global,
             tid,
-            admitted: Vec::new(),
+            ledger: Ledger::default(),
             shadow_local: verify.then(|| fleet::tenant_pipeline(global)),
-            res_local: Vec::new(),
-            res_remote: Vec::new(),
         })
         .collect();
     let slot_of: HashMap<u32, usize> = slots
@@ -251,9 +381,11 @@ fn shard_worker(
         let mut did = false;
         while !tx.backlogged() {
             let Some(env) = rx.pop() else { break };
-            let slot_ix = *slot_of
-                .get(&tenant_of(&env.frame))
-                .expect("frame routed to the wrong shard");
+            let slot_ix = *env
+                .frame
+                .tenant()
+                .and_then(|t| slot_of.get(&t))
+                .expect("engine frame routed to its shard");
             let resp = process(
                 &mut engine,
                 &mut slots[slot_ix],
@@ -279,18 +411,6 @@ fn shard_worker(
     tx.close();
 }
 
-fn tenant_of(frame: &RequestFrame) -> u32 {
-    match frame {
-        RequestFrame::Request(r) => r.tenant,
-        RequestFrame::Reconfigure(r) => r.tenant,
-        // WhatIf and Shutdown are service-level frames; the front never
-        // routes them onto a shard ring.
-        RequestFrame::WhatIf(_) | RequestFrame::Shutdown => {
-            unreachable!("service-level frame on a shard ring")
-        }
-    }
-}
-
 fn process(
     engine: &mut AdmissionEngine,
     slot: &mut TenantSlot,
@@ -300,9 +420,30 @@ fn process(
     verify: bool,
 ) -> ResponseFrame {
     match frame {
-        RequestFrame::Request(r) => ResponseFrame::Decision(decide_one(engine, slot, ids, r)),
+        RequestFrame::Request(r) => {
+            ResponseFrame::Decision(slot.ledger.apply(engine, slot.tid, ids, r))
+        }
         RequestFrame::Reconfigure(rc) => {
-            ResponseFrame::Reconfigured(reconfigure_one(engine, slot, classes, ids, rc, verify))
+            let (resp, node) = reconfigure(engine, slot.tid, rc);
+            if verify {
+                if let (Some(shadow), Some(node)) = (slot.shadow_local.as_mut(), node) {
+                    shadow.nodes[rc.stage as usize] = node;
+                }
+                assert_oracle_equal(
+                    engine,
+                    slot,
+                    classes,
+                    ids,
+                    &format!(
+                        "tenant {} stage {} tier {} ({})",
+                        rc.tenant,
+                        rc.stage,
+                        rc.tier,
+                        if resp.applied { "applied" } else { "rejected" }
+                    ),
+                );
+            }
+            ResponseFrame::Reconfigured(resp)
         }
         RequestFrame::WhatIf(_) | RequestFrame::Shutdown => {
             unreachable!("service-level frame on a shard ring")
@@ -310,121 +451,12 @@ fn process(
     }
 }
 
-/// One arrival/departure against the shard's engine — the service-side
-/// twin of the in-proc replay loop, producing the identical row.
-fn decide_one(
-    engine: &mut AdmissionEngine,
-    slot: &mut TenantSlot,
-    ids: &[ClassId],
-    r: ReqFrame,
-) -> DecisionFrame {
-    let class = ids[r.class as usize];
-    let (outcome, bound) = match r.event {
-        EventKind::Arrive => {
-            let d = engine
-                .decide(slot.tid, class, r.attach as usize)
-                .expect("validated request stays in range");
-            if slot.admitted.len() <= r.arrive_ix as usize {
-                slot.admitted.resize(r.arrive_ix as usize + 1, None);
-            }
-            slot.admitted[r.arrive_ix as usize] =
-                d.placement().map(|p| (class, r.attach as usize, p));
-            match d.placement() {
-                Some(Placement::Local) => slot.res_local.push((r.attach as usize, class)),
-                Some(Placement::Remote) => slot.res_remote.push((0, class)),
-                None => {}
-            }
-            (Outcome::from_decision(&d), d.bound())
-        }
-        EventKind::Depart => match slot
-            .admitted
-            .get_mut(r.arrive_ix as usize)
-            .and_then(Option::take)
-        {
-            Some((c, attach, placement)) => {
-                engine
-                    .depart(slot.tid, c, attach, placement)
-                    .expect("resident flow departs cleanly");
-                let res = match placement {
-                    Placement::Local => &mut slot.res_local,
-                    Placement::Remote => &mut slot.res_remote,
-                };
-                let key = (
-                    if placement == Placement::Local {
-                        attach
-                    } else {
-                        0
-                    },
-                    c,
-                );
-                if let Some(ix) = res.iter().position(|&e| e == key) {
-                    res.swap_remove(ix);
-                }
-                (Outcome::Vacate, None)
-            }
-            None => (Outcome::Noop, None),
-        },
-    };
-    DecisionFrame {
-        seq: r.seq,
-        time_s: r.time_s,
-        tenant: r.tenant,
-        class: r.class,
-        attach: r.attach,
-        event: r.event,
-        outcome,
-        bound,
-    }
-}
-
-fn reconfigure_one(
-    engine: &mut AdmissionEngine,
-    slot: &mut TenantSlot,
-    classes: &[FlowClass],
-    ids: &[ClassId],
-    rc: ReconfigFrame,
-    verify: bool,
-) -> ReconfiguredFrame {
-    let node = fleet::reconfig_node(slot.global, rc.stage as usize, rc.tier as usize);
-    let applied = engine.reconfigure_stage(slot.tid, rc.stage as usize, node.clone());
-    let (ok, evicted) = match applied {
-        Ok(evicted) => {
-            if let Some(shadow) = slot.shadow_local.as_mut() {
-                shadow.nodes[rc.stage as usize] = node;
-            }
-            (true, evicted as u64)
-        }
-        Err(_) => (false, 0),
-    };
-    if verify {
-        assert_oracle_equal(
-            engine,
-            slot,
-            classes,
-            ids,
-            &format!(
-                "tenant {} stage {} tier {} ({})",
-                rc.tenant,
-                rc.stage,
-                rc.tier,
-                if ok { "applied" } else { "rejected" }
-            ),
-        );
-    }
-    ReconfiguredFrame {
-        seq: rc.seq,
-        tenant: rc.tenant,
-        stage: rc.stage,
-        applied: ok,
-        evicted,
-    }
-}
-
 /// Every `peek` the engine can answer for this tenant equals a
 /// from-scratch recomputation through the general curve algebra on the
-/// shadow pipeline and resident sets — including the remote-offload
-/// fallback, mirrored here exactly as `AdmissionEngine::peek` tries it
-/// (remote at attachment 0, no budget, local rejection reason kept).
+/// shadow pipeline and the ledger's resident sets — including the
+/// remote-offload fallback, mirrored here exactly as
+/// `AdmissionEngine::peek` tries it (remote at attachment 0, no budget,
+/// local rejection reason kept).
 fn assert_oracle_equal(
     engine: &mut AdmissionEngine,
     slot: &TenantSlot,
@@ -436,50 +468,39 @@ fn assert_oracle_equal(
         .shadow_local
         .as_ref()
         .expect("verify mode keeps a shadow");
+    let on_local = slot.ledger.resident(Placement::Local);
+    let on_remote = slot.ledger.resident(Placement::Remote);
     let budget = Some(fleet::tenant_budget(slot.global));
     let remote = (slot.global % 2 == 1).then(fleet::remote_pipeline);
     for (ci, &class) in ids.iter().enumerate() {
         for attach in 0..shadow.nodes.len() {
             let got = engine.peek(slot.tid, class, attach).unwrap();
-            let want = match oracle::decide_full(
-                shadow,
-                budget,
-                classes,
-                &slot.res_local,
-                &classes[ci],
-                attach,
-            ) {
-                Ok(bound) => Decision::Admit { bound },
-                Err(reason) => match &remote {
-                    Some(rp) => {
-                        match oracle::decide_full(
-                            rp,
-                            None,
-                            classes,
-                            &slot.res_remote,
-                            &classes[ci],
-                            0,
-                        ) {
-                            Ok(bound) => Decision::AdmitRemote { bound },
-                            Err(_) => Decision::Reject { reason },
+            let want =
+                match oracle::decide_full(shadow, budget, classes, &on_local, &classes[ci], attach)
+                {
+                    Ok(bound) => Decision::Admit { bound },
+                    Err(reason) => match &remote {
+                        Some(rp) => {
+                            match oracle::decide_full(
+                                rp,
+                                None,
+                                classes,
+                                &on_remote,
+                                &classes[ci],
+                                0,
+                            ) {
+                                Ok(bound) => Decision::AdmitRemote { bound },
+                                Err(_) => Decision::Reject { reason },
+                            }
                         }
-                    }
-                    None => Decision::Reject { reason },
-                },
-            };
+                        None => Decision::Reject { reason },
+                    },
+                };
             assert_eq!(
                 got, want,
                 "{context}: class {ci} attach {attach} diverged from the oracle"
             );
         }
-    }
-}
-
-/// Tenant budget helper shared with the verify probe.
-impl TenantSlot {
-    #[cfg(test)]
-    fn resident_total(&self) -> usize {
-        self.res_local.len() + self.res_remote.len()
     }
 }
 
@@ -551,14 +572,8 @@ mod tests {
         let built = fleet::build_shard(&cfg, &[0]);
         let mut engine = built.engine;
         let ids = built.classes;
-        let mut slot = TenantSlot {
-            global: 0,
-            tid: built.tenants[0].1,
-            admitted: Vec::new(),
-            shadow_local: None,
-            res_local: Vec::new(),
-            res_remote: Vec::new(),
-        };
+        let tid = built.tenants[0].1;
+        let mut ledger = Ledger::default();
         let arrive = ReqFrame {
             seq: 0,
             time_s: 0.0,
@@ -568,19 +583,20 @@ mod tests {
             event: EventKind::Arrive,
             arrive_ix: 0,
         };
-        let d = decide_one(&mut engine, &mut slot, &ids, arrive);
+        let d = ledger.apply(&mut engine, tid, &ids, arrive);
         assert_eq!(d.outcome, Outcome::Admit);
-        assert_eq!(slot.resident_total(), 1);
+        assert_eq!(ledger.resident(Placement::Local), vec![(0, ids[0])]);
+        assert!(ledger.resident(Placement::Remote).is_empty());
         let depart = ReqFrame {
             event: EventKind::Depart,
             seq: 1,
             ..arrive
         };
-        let d = decide_one(&mut engine, &mut slot, &ids, depart);
+        let d = ledger.apply(&mut engine, tid, &ids, depart);
         assert_eq!(d.outcome, Outcome::Vacate);
-        assert_eq!(slot.resident_total(), 0);
+        assert!(ledger.resident(Placement::Local).is_empty());
         // Departing the same arrival again is a noop.
-        let d = decide_one(&mut engine, &mut slot, &ids, ReqFrame { seq: 2, ..depart });
+        let d = ledger.apply(&mut engine, tid, &ids, ReqFrame { seq: 2, ..depart });
         assert_eq!(d.outcome, Outcome::Noop);
     }
 }

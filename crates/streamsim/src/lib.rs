@@ -36,6 +36,7 @@
 //! assert!(r.throughput > 350.0 && r.throughput < 650.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod config;

@@ -1,6 +1,7 @@
 //! The order-preserving fan-out every replica, fleet and sweep loop
 //! shares: split the items into contiguous chunks, give each worker
-//! one scratch state, and merge the outputs back in item order.
+//! one scratch state, and merge the outputs back in item order. Beside
+//! it, the one reader of the size knobs that shape those loops.
 
 use std::panic::resume_unwind;
 
@@ -18,6 +19,26 @@ pub fn workers() -> usize {
                 cores()
             }
         },
+    }
+}
+
+/// A size from the environment variable `name`, or `default` when it
+/// is unset. A malformed value warns on stderr and falls back to
+/// `default`. Zero is malformed too, except for a knob whose default is
+/// zero (a count that is off unless set).
+pub fn env_size(name: &str, default: usize) -> usize {
+    parse_size(name, std::env::var(name).ok().as_deref(), default)
+}
+
+fn parse_size(name: &str, value: Option<&str>, default: usize) -> usize {
+    let least = usize::from(default > 0);
+    match value.map(|s| s.trim().parse::<usize>()) {
+        None => default,
+        Some(Ok(n)) if n >= least => n,
+        Some(_) => {
+            eprintln!("{name} must be an integer >= {least}; using {default}");
+            default
+        }
     }
 }
 
@@ -84,7 +105,23 @@ mod tests {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    use super::stripe;
+    use super::{parse_size, stripe};
+
+    #[test]
+    fn malformed_sizes_warn_and_fall_back() {
+        assert_eq!(parse_size("N", None, 7), 7);
+        assert_eq!(parse_size("N", Some(" 20 "), 7), 20);
+        for bad in ["2O", "", "0", "-3", "1.5"] {
+            assert_eq!(parse_size("N", Some(bad), 7), 7, "{bad:?}");
+        }
+        // A count that defaults to zero accepts zero, and only rejects
+        // what does not parse.
+        assert_eq!(parse_size("N", Some("0"), 0), 0);
+        assert_eq!(parse_size("N", Some("3"), 0), 3);
+        for bad in ["x", "-1", ""] {
+            assert_eq!(parse_size("N", Some(bad), 0), 0, "{bad:?}");
+        }
+    }
 
     /// The determinism contract every caller relies on: outputs equal
     /// the serial map at any width, one `init` per worker used, each

@@ -52,11 +52,12 @@
 //! assert!(surface.stats.prefix_hits + surface.stats.prefix_misses >= 10);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod fanout;
 
-pub use fanout::{stripe, workers};
+pub use fanout::{env_size, stripe, workers};
 
 use nc_core::bounds::Regime;
 use nc_core::cache::{CacheStats, CurveOps, DirectOps};

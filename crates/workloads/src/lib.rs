@@ -23,6 +23,7 @@
 //! per-stage rates, latencies, and job ratios (see DESIGN.md for the
 //! substitution argument).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aes;

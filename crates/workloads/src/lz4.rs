@@ -201,12 +201,6 @@ fn read_extended(input: &[u8], i: &mut usize) -> Result<usize, Lz4Error> {
     }
 }
 
-/// Worst-case compressed size for `n` input bytes (all-literal block:
-/// token + extended length bytes + literals).
-pub fn worst_case_len(n: usize) -> usize {
-    n + n / 255 + 16
-}
-
 /// Compress a stream in independent chunks (the Vitis streaming-kernel
 /// deployment model). Returns per-chunk compressed blocks and the
 /// overall compression ratio (input/output — higher is better; 1.0 or

@@ -55,10 +55,10 @@ if bad:
 print(f"backpressure gate: {len(rows)} rows, every DES observation within the closed-form bounds")
 PY
 
-echo "==> admission smoke: 6-tenant request trace through the admit bin"
+echo "==> admission smoke: 6-tenant request trace through the admit bin (nc-serve shard pool)"
 ADMIT_FLEET=6 ADMIT_REQS=40 NC_THREADS=2 cargo run --release -q -p nc-bench --bin admit > /dev/null
 
-echo "==> NC_THREADS determinism: admission CSV byte-identical at 1 vs 2 workers"
+echo "==> NC_THREADS determinism: admission CSV byte-identical at 1 vs 2 shards"
 cp results/admission.csv /tmp/admission_2workers.csv
 ADMIT_FLEET=6 ADMIT_REQS=40 NC_THREADS=1 cargo run --release -q -p nc-bench --bin admit > /dev/null
 cmp results/admission.csv /tmp/admission_2workers.csv \
@@ -72,22 +72,24 @@ echo "==> serve smoke: UDS service, ~1k-request replay byte-compared to the in-p
 # (SERVE_VERIFY=1), a what-if query through the sidecar, and a clean
 # frame-driven shutdown. The replay client byte-compares the decision
 # CSV against the in-proc engine and exits non-zero on any difference.
+# Each command runs under `timeout 300`, so a hang fails the lane
+# instead of blocking it.
 cargo build --release -q -p nc-serve --bin serve
 serve_bin=target/release/serve
 serve_sock="/tmp/nc-serve-check.$$.sock"
 serve_csv="/tmp/nc-serve-check.$$.csv"
 rm -f "$serve_sock"
 ADMIT_FLEET=8 ADMIT_REQS=63 ADMIT_RECONFIGS=2 SERVE_VERIFY=1 \
-  "$serve_bin" --listen "$serve_sock" &
+  timeout 300 "$serve_bin" --listen "$serve_sock" &
 serve_pid=$!
 for _ in $(seq 1 50); do [ -S "$serve_sock" ] && break; sleep 0.1; done
 [ -S "$serve_sock" ] \
   || { echo "FAIL: serve never bound $serve_sock" >&2; kill "$serve_pid" 2>/dev/null; exit 1; }
 ADMIT_FLEET=8 ADMIT_REQS=63 ADMIT_RECONFIGS=2 \
-  "$serve_bin" --replay "$serve_sock" --whatif 4 --out "$serve_csv" \
+  timeout 300 "$serve_bin" --replay "$serve_sock" --whatif 4 --out "$serve_csv" \
   || { echo "FAIL: serve replay diverged from the in-proc engine" >&2
        kill "$serve_pid" 2>/dev/null; exit 1; }
-"$serve_bin" --shutdown "$serve_sock"
+timeout 300 "$serve_bin" --shutdown "$serve_sock"
 wait "$serve_pid" || { echo "FAIL: serve server exited non-zero" >&2; exit 1; }
 rm -f "$serve_sock" "$serve_csv"
 

@@ -38,6 +38,7 @@
 //!
 //! Reproduce the paper: `cargo run -p nc-bench --bin repro --release`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Deterministic network calculus (re-export of `nc-core`).
