@@ -362,7 +362,10 @@ impl PathState {
     }
 
     /// Commit an admitted candidate: bump the attachment aggregates
-    /// and refresh the affected suffix.
+    /// and adopt the suffix that the successful [`PathState::evaluate`]
+    /// of the same `(p, a)` just left in the scratch vectors. It ran
+    /// the committed recurrence with the candidate added over `a..n`,
+    /// and `Rat`s are canonical, so the copy equals a recompute.
     fn commit(&mut self, class: ClassId, p: ClassParams, a: usize) {
         if self.counts[a].len() <= class.0 {
             self.counts[a].resize(class.0 + 1, 0);
@@ -371,7 +374,18 @@ impl PathState {
         self.attach_rate[a] += p.rate;
         self.attach_burst[a] += p.burst;
         self.slo_min[a] = Some(self.slo_min[a].map_or(p.deadline, |s| s.min(p.deadline)));
-        self.recompute_suffix(a);
+        self.r_in[a..].copy_from_slice(&self.s_r[a..]);
+        self.b_in[a..].copy_from_slice(&self.s_b[a..]);
+        self.d_stage[a..].copy_from_slice(&self.s_d[a..]);
+        #[cfg(debug_assertions)]
+        {
+            let (r, b, d) = (self.r_in.clone(), self.b_in.clone(), self.d_stage.clone());
+            self.recompute_suffix(a);
+            debug_assert!(
+                r == self.r_in && b == self.b_in && d == self.d_stage,
+                "commit adopted a suffix the recurrence does not produce"
+            );
+        }
     }
 
     /// Remove one resident flow of `(class, a)` and refresh the

@@ -358,6 +358,15 @@ fn curves(b: &mut Bench) {
         x.checked_mul(y).unwrap()
     });
     b.speedup("Rat mul: i64 lane vs checked", "", checked, fast);
+    // i64 components whose cross products exceed 2^64: the sum reduces
+    // in the gcd kernel's u128 lanes.
+    let (wa, wb) = (
+        rat(3_000_000_019, 7_000_000_001),
+        rat(2_000_000_003, 5_000_000_011),
+    );
+    b.time("Rat add, wide operands", "", || {
+        std::hint::black_box(wa) + std::hint::black_box(wb)
+    });
 }
 
 /// The DES kernel: calendar structures, queue accounting, sampling, and
@@ -838,10 +847,10 @@ fn sweep(b: &mut Bench) {
 const WARM_PAIR: &str = "admit+depart pair, warm engine";
 
 /// The admission engine (DESIGN §13): the warm incremental decision
-/// path, a full in-proc trace replay with trace generation and
-/// onboarding amortized in, and the cold-start oracle (full model
-/// rebuild + general curve algebra per decision) it is measured
-/// against.
+/// path, full in-proc trace replays (4 tenants, and the benchmark's
+/// 1024) with trace generation and onboarding amortized in, and the
+/// cold-start oracle (full model rebuild + general curve algebra per
+/// decision) it is measured against.
 fn admission(b: &mut Bench) {
     let cfg = fleet::request_config(42, 1, 200);
     let mut shard = fleet::build_shard(&cfg, &[0]);
@@ -856,16 +865,24 @@ fn admission(b: &mut Bench) {
         }
         d
     });
-    let trace_cfg = fleet::request_config(7, 4, 250);
-    let arrivals = replay_inproc(&trace_cfg, &[])
-        .decisions
-        .iter()
-        .filter(|d| d.event == EventKind::Arrive)
-        .count();
-    let what = "in-proc trace replay, 4 tenants x 250 arrivals (trace and onboarding included)";
-    b.time_per_decision(what, "", arrivals, || replay_inproc(&trace_cfg, &[]));
+    // The benchmark's fleet (1024 tenants) beside a small one, so the
+    // gate tracks the engine cost `serve-saturate` sees.
+    for tenants in [4, 1024] {
+        let trace_cfg = fleet::request_config(7, tenants, 250);
+        let arrivals = replay_inproc(&trace_cfg, &[])
+            .decisions
+            .iter()
+            .filter(|d| d.event == EventKind::Arrive)
+            .count();
+        let what = format!(
+            "in-proc trace replay, {tenants} tenants x 250 arrivals (trace and onboarding \
+             included)"
+        );
+        b.time_per_decision(&what, "", arrivals, || replay_inproc(&trace_cfg, &[]));
+    }
     let what = "cold-start full recompute (oracle)";
-    let cold = b.time_per_decision(what, "", 1, oracle_decision(&trace_cfg, 0));
+    let oracle_cfg = fleet::request_config(7, 4, 250);
+    let cold = b.time_per_decision(what, "", 1, oracle_decision(&oracle_cfg, 0));
     b.speedup("incremental vs full recompute", "", cold, warm);
 }
 

@@ -3,10 +3,18 @@
 //! Network-calculus bounds are *guarantees*; computing them in floating
 //! point turns exact statements ("the backlog never exceeds `b + R·T`")
 //! into approximate ones. All curve coordinates in this crate are
-//! therefore exact rationals. `i128` numerators/denominators with
-//! aggressive GCD reduction comfortably cover the dynamic range of the
-//! paper's workloads (rates up to tens of GiB/s, times from nanoseconds
-//! to hours) without ever allocating.
+//! therefore exact rationals. `i128` numerators/denominators, reduced
+//! to lowest terms after every operation, comfortably cover the dynamic
+//! range of the paper's workloads (rates up to tens of GiB/s, times
+//! from nanoseconds to hours) without ever allocating.
+//!
+//! Reduction is the cost of exactness, so the gcd kernel is a binary
+//! (Stein) gcd on unsigned magnitudes in three width lanes: a `u64`
+//! loop when both operands fit in 64 bits (most calls on the
+//! admission path), one `u128 %` step into that loop when only one
+//! does, and a `u128` loop that drops to `u64` as soon as both fit.
+//! Exact divisions by the gcd run in `i64` where the operands fit and
+//! are skipped when the gcd is 1.
 
 use core::cmp::Ordering;
 use core::fmt;
@@ -23,16 +31,81 @@ pub struct Rat {
     den: i128,
 }
 
-/// Greatest common divisor (always non-negative).
-fn gcd(mut a: i128, mut b: i128) -> i128 {
-    a = a.abs();
-    b = b.abs();
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
+/// Greatest common divisor of `|a|` and `|b|`. Every caller passes a
+/// denominator, which bounds the result below `2^127`, so the cast back
+/// to `i128` keeps it positive.
+fn gcd(a: i128, b: i128) -> i128 {
+    gcd_u128(a.unsigned_abs(), b.unsigned_abs()) as i128
+}
+
+/// Binary gcd in the narrowest lane that holds both operands.
+fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
+    const NARROW: u128 = u64::MAX as u128;
+    if a <= NARROW && b <= NARROW {
+        return gcd_u64(a as u64, b as u64) as u128;
     }
-    a
+    if a <= NARROW || b <= NARROW {
+        // One wide operand: a single remainder step brings it below
+        // the narrow one.
+        let (wide, narrow) = if a > b { (a, b) } else { (b, a) };
+        if narrow == 0 {
+            return wide;
+        }
+        return gcd_u64(narrow as u64, (wide % narrow) as u64) as u128;
+    }
+    // Both wide (so both nonzero): strip the common power of two, then
+    // subtract the smaller odd operand from the larger until both fit
+    // the u64 lane. With `a` odd, the remaining twos in `b` never
+    // divide the gcd.
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            core::mem::swap(&mut a, &mut b);
+        }
+        if b <= NARROW {
+            return (gcd_u64(a as u64, b as u64) as u128) << shift;
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+/// Binary (Stein) gcd on `u64`: shifts and subtractions only.
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 {
+        return b;
+    }
+    if b == 0 {
+        return a;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            core::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+/// `x / g` for a positive exact divisor `g` of `x`, both in `i64`
+/// range: an `i64` division, skipped when `g == 1`.
+#[inline]
+fn div_exact_i64(x: i128, g: i128) -> i128 {
+    debug_assert!(g > 0 && x as i64 % g as i64 == 0);
+    if g == 1 {
+        x
+    } else {
+        (x as i64 / g as i64) as i128
+    }
 }
 
 impl Rat {
@@ -44,17 +117,24 @@ impl Rat {
     /// Construct `num/den`, reducing to lowest terms.
     ///
     /// # Panics
-    /// Panics if `den == 0`.
+    /// Panics if `den == 0`, or if the reduced value does not fit
+    /// (`Rat::new(i128::MIN, -1)`).
     pub fn new(num: i128, den: i128) -> Rat {
         assert!(den != 0, "Rat::new: zero denominator");
-        let sign = if den < 0 { -1 } else { 1 };
-        let g = gcd(num, den);
-        if g == 0 {
-            return Rat::ZERO;
-        }
-        Rat {
-            num: sign * (num / g),
-            den: (den / g).abs(),
+        // Reduce the magnitudes, so `i128::MIN` components reduce
+        // instead of overflowing a negation.
+        let negative = (num < 0) != (den < 0);
+        let g = gcd_u128(num.unsigned_abs(), den.unsigned_abs());
+        let mag = num.unsigned_abs() / g;
+        let num = if negative {
+            0i128.checked_sub_unsigned(mag)
+        } else {
+            i128::try_from(mag).ok()
+        };
+        let den = i128::try_from(den.unsigned_abs() / g).ok();
+        match (num, den) {
+            (Some(num), Some(den)) => Rat { num, den },
+            _ => panic!("Rat::new overflow"),
         }
     }
 
@@ -248,9 +328,19 @@ impl Rat {
             return Rat { num, den: 1 };
         }
         let g = gcd(num, den);
-        Rat {
-            num: num / g,
-            den: den / g,
+        let unreduced = Rat { num, den };
+        if g == 1 {
+            unreduced
+        } else if unreduced.fits_i64() {
+            Rat {
+                num: div_exact_i64(num, g),
+                den: div_exact_i64(den, g),
+            }
+        } else {
+            Rat {
+                num: num / g,
+                den: den / g,
+            }
         }
     }
 
@@ -309,22 +399,23 @@ impl Ord for Rat {
         if self.fits_i64() && other.fits_i64() {
             return (self.num * other.den).cmp(&(other.num * self.den));
         }
-        // a/b vs c/d  <=>  a*d vs c*b (b, d > 0). Cross-reduce first.
-        let g1 = gcd(self.num, other.num);
-        let g2 = gcd(self.den, other.den);
-        if g1 != 0 {
-            let l = (self.num / g1)
-                .checked_mul(other.den / g2)
-                .expect("Rat::cmp overflow");
-            let r = (other.num / g1)
-                .checked_mul(self.den / g2)
-                .expect("Rat::cmp overflow");
-            // Dividing both sides by positive g1 keeps order only if g1 > 0;
-            // gcd is non-negative and nonzero here, so order is preserved.
+        // Differing signs (or two zeros) decide alone. Otherwise
+        // a/b vs c/d  <=>  |a|*d vs |c|*b (b, d > 0) on cross-reduced
+        // magnitudes, with the order flipped for negatives.
+        let sign = self.num.signum().cmp(&other.num.signum());
+        if sign != Ordering::Equal || self.num == 0 {
+            return sign;
+        }
+        let (a, c) = (self.num.unsigned_abs(), other.num.unsigned_abs());
+        let (b, d) = (self.den as u128, other.den as u128);
+        let g1 = gcd_u128(a, c);
+        let g2 = gcd_u128(b, d);
+        let l = (a / g1).checked_mul(d / g2).expect("Rat::cmp overflow");
+        let r = (c / g1).checked_mul(b / g2).expect("Rat::cmp overflow");
+        if self.num > 0 {
             l.cmp(&r)
         } else {
-            // Both numerators zero.
-            Ordering::Equal
+            r.cmp(&l)
         }
     }
 }
@@ -386,11 +477,12 @@ impl Mul for Rat {
             }
             // Cross-reduce: (a/g1)·(c/g2) over (b/g2)·(d/g1) is already
             // in lowest terms, so no trailing normalization is needed.
+            // Both gcds are positive (b, d ≥ 1) and fit in i64.
             let g1 = gcd(a, d);
             let g2 = gcd(c, b);
             return Rat {
-                num: (a / g1) * (c / g2),
-                den: (b / g2) * (d / g1),
+                num: div_exact_i64(a, g1) * div_exact_i64(c, g2),
+                den: div_exact_i64(b, g2) * div_exact_i64(d, g1),
             };
         }
         self.checked_mul_impl(rhs).expect("Rat mul overflow")
@@ -663,6 +755,112 @@ mod tests {
         }
         assert_eq!(rat(-3, 4).recip(), rat(-4, 3));
         assert_eq!(rat(-3, 4).recip().denom(), 3);
+    }
+
+    /// Euclid's algorithm: the reference the binary kernel answers to.
+    fn gcd_ref(mut a: u128, mut b: u128) -> u128 {
+        while b != 0 {
+            let t = a % b;
+            a = b;
+            b = t;
+        }
+        a
+    }
+
+    #[test]
+    fn gcd_matches_euclid_on_edge_grid() {
+        let mut grid: Vec<i128> = vec![
+            0,
+            1,
+            -1,
+            3,
+            i64::MIN as i128,
+            i64::MAX as i128,
+            u64::MAX as i128,
+            u64::MAX as i128 + 1,
+            i128::MAX,
+            i128::MIN + 1,
+            3 << 100,
+            (u64::MAX as i128) * 3,
+        ];
+        for k in 1..127 {
+            grid.push(1 << k);
+            grid.push(-(1 << k));
+        }
+        for &a in &grid {
+            for &b in &grid {
+                let want = gcd_ref(a.unsigned_abs(), b.unsigned_abs());
+                assert_eq!(gcd(a, b) as u128, want, "gcd({a}, {b})");
+            }
+        }
+        // Unsigned magnitudes past i128, which only `Rat::new` and
+        // `cmp` hand to the kernel.
+        let wide = [0, 1, 1 << 64, 1 << 127, u128::MAX, u128::MAX - 1, 3 << 126];
+        for &a in &wide {
+            for &b in &wide {
+                assert_eq!(gcd_u128(a, b), gcd_ref(a, b), "gcd_u128({a}, {b})");
+            }
+        }
+    }
+
+    #[test]
+    fn gcd_matches_euclid_on_random_pairs_per_width() {
+        use rand::{RngCore, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x05ee_d9cd);
+        let mut draw = |bits: u32, wide: bool| {
+            let x = ((rng.next_u64() as u128) << 64 | rng.next_u64() as u128) >> (128 - bits);
+            let x = if wide { x | 1 << 64 } else { x };
+            let sign = if rng.next_u32() % 2 == 0 { 1 } else { -1 };
+            (x, sign)
+        };
+        // (bits, ≥ 2^64) of each operand: both below 2^32, both below
+        // 2^64, one at or above 2^64, both at or above 2^64.
+        let classes = [
+            ((32, false), (32, false)),
+            ((64, false), (64, false)),
+            ((127, true), (64, false)),
+            ((127, true), (127, true)),
+        ];
+        for ((ba, wa), (bb, wb)) in classes {
+            for i in 0..4000 {
+                let (mut a, sa) = draw(ba, wa);
+                let (mut b, sb) = draw(bb, wb);
+                if i % 2 == 1 {
+                    // Half the pairs share a factor, so the gcd is rarely 1.
+                    let (g, _) = draw(1 + i % 24, false);
+                    let g = g | 1 << (i % 24);
+                    a -= a % g;
+                    b -= b % g;
+                }
+                let (x, y) = (sa * a as i128, sb * b as i128);
+                assert_eq!(gcd(x, y) as u128, gcd_ref(a, b), "gcd({x}, {y})");
+                assert_eq!(gcd_u128(b, a), gcd_ref(b, a), "gcd_u128({b}, {a})");
+            }
+        }
+    }
+
+    #[test]
+    fn new_reduces_an_i128_min_numerator() {
+        let r = Rat::new(i128::MIN, 2);
+        assert_eq!(r.numer(), -(1 << 126));
+        assert_eq!(r.denom(), 1);
+        assert_eq!(Rat::new(i128::MIN, i128::MIN), Rat::ONE);
+        assert_eq!(Rat::new(0, i128::MIN), Rat::ZERO);
+        assert_eq!(Rat::new(i128::MIN, -(1 << 126)), Rat::int(2));
+    }
+
+    #[test]
+    fn wide_comparisons_order_by_magnitude_and_sign() {
+        let min = Rat::new(i128::MIN, 1);
+        assert!(min < Rat::ZERO);
+        assert!(Rat::ZERO > min);
+        assert!(min < Rat::new(i128::MIN + 1, 1));
+        assert!(Rat::new(i128::MIN, 3) > min);
+        assert!(Rat::new(i128::MAX, 3) < Rat::new(i128::MAX, 2));
+        assert_eq!(
+            Rat::new(i128::MAX, 7).cmp(&Rat::new(i128::MAX, 7)),
+            Ordering::Equal
+        );
     }
 
     #[test]

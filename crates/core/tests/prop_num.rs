@@ -27,6 +27,34 @@ fn arb_boundary_rat() -> impl Strategy<Value = Rat> {
     ]
 }
 
+/// Pairs of rationals with components between 2^32 and 2^62 whose
+/// denominators share a factor: add and mul cross products exceed 2^64,
+/// so the gcd kernel's u128 lanes run, and sums reduce nontrivially.
+fn arb_wide_pair() -> impl Strategy<Value = (Rat, Rat)> {
+    let comp = || (1i128 << 32)..(1i128 << 42);
+    (comp(), comp(), comp(), comp(), 1i128..(1 << 20), 0u8..4).prop_map(
+        |(n1, d1, n2, d2, k, signs)| {
+            let signed = |n: i128, bit: u8| if signs & bit != 0 { -n } else { n };
+            (
+                Rat::new(signed(n1, 1), d1 * k),
+                Rat::new(signed(n2, 2), d2 * k),
+            )
+        },
+    )
+}
+
+/// Euclid on the stored components: an oracle independent of the
+/// crate's gcd kernel.
+fn euclid(mut a: i128, mut b: i128) -> i128 {
+    a = a.abs();
+    while b != 0 {
+        let t = a % b;
+        a = b;
+        b = t;
+    }
+    a
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -117,6 +145,20 @@ proptest! {
         }
         if let Some(d) = a.checked_add(-b) {
             prop_assert_eq!(a.cmp(&b), d.signum().cmp(&0));
+        }
+    }
+
+    #[test]
+    fn wide_cross_products_match_checked_and_stay_lowest_terms((a, b) in arb_wide_pair()) {
+        let sum = a + b;
+        let product = a * b;
+        prop_assert_eq!(Some(sum), a.checked_add(b));
+        prop_assert_eq!(Some(product), a.checked_mul(b));
+        prop_assert_eq!(a - b, a.checked_add(-b).unwrap());
+        prop_assert_eq!(product / b, a);
+        for r in [sum, product, a - b] {
+            prop_assert!(r.denom() > 0);
+            prop_assert_eq!(euclid(r.numer(), r.denom()), 1, "{} not in lowest terms", r);
         }
     }
 

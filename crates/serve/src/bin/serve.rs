@@ -12,7 +12,10 @@
 //! * `serve --shutdown <ep>` — send a lone `Shutdown` frame.
 //!
 //! `<ep>` is a UDS path, or `tcp:HOST:PORT`. A flag with a missing or
-//! unparsable value prints the usage line and exits 1. The fleet shape
+//! unparsable value prints the usage line and exits 1; a runtime
+//! failure (an endpoint that will not bind or connect, a broken
+//! connection, an unwritable `--out`) prints `serve: <what>: <error>`
+//! and exits 1. The fleet shape
 //! comes from the same environment knobs as the `admit` bin —
 //! `ADMIT_FLEET` (default 32 tenants) × `ADMIT_REQS` (default 250
 //! flows/tenant), seed 11 — plus `ADMIT_RECONFIGS` reconfiguration
@@ -65,17 +68,27 @@ fn fleet_config() -> (RequestConfig, Vec<ReconfigEvent>) {
     (cfg, events)
 }
 
-fn write_out(out: Option<&PathBuf>, csv: &str) {
+/// `<ep>` as the command line spells it.
+fn show(ep: &Endpoint) -> String {
+    match ep {
+        Endpoint::Uds(path) => path.display().to_string(),
+        Endpoint::Tcp(addr) => format!("tcp:{addr}"),
+    }
+}
+
+fn write_out(out: Option<&PathBuf>, csv: &str) -> Result<(), String> {
     match out {
         Some(path) => {
             if let Some(dir) = path.parent() {
+                // A failure here surfaces as the write's error.
                 let _ = std::fs::create_dir_all(dir);
             }
-            std::fs::write(path, csv).expect("write output CSV");
+            std::fs::write(path, csv).map_err(|e| format!("write {}: {e}", path.display()))?;
             println!("serve: wrote {}", path.display());
         }
         None => print!("{csv}"),
     }
+    Ok(())
 }
 
 /// The parsed command line.
@@ -117,20 +130,31 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    match run(args) {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("serve: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
 
+/// Run the selected mode; `Err` is a runtime failure, already labelled.
+fn run(args: Args) -> Result<ExitCode, String> {
     let (cfg, events) = fleet_config();
 
     if let Some(ep) = args.listen {
         let shards = env_size("SERVE_SHARDS", 1);
         let quantum = env_size("NC_PUB_QUANTUM", 256);
         let verify = std::env::var("SERVE_VERIFY").is_ok_and(|v| v.trim() == "1");
-        let server = Server::bind(&ep, &cfg, shards, quantum, verify).expect("bind endpoint");
+        let server = Server::bind(&ep, &cfg, shards, quantum, verify)
+            .map_err(|e| format!("bind {}: {e}", show(&ep)))?;
         println!(
             "nc-serve: listening on {ep:?} ({} tenants, {shards} shard(s), quantum {quantum}, \
              verify {verify})",
             cfg.tenants
         );
-        let stats = server.run().expect("event loop");
+        let stats = server.run().map_err(|e| format!("event loop: {e}"))?;
         println!(
             "nc-serve: served {} decisions, {} reconfigurations, {} what-ifs over {} \
              connection(s), {} protocol error(s)",
@@ -140,13 +164,13 @@ fn main() -> ExitCode {
             stats.connections,
             stats.protocol_errors
         );
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
     if args.inproc {
         let oracle = replay_inproc(&cfg, &events);
-        write_out(args.out.as_ref(), &to_csv(&oracle.decisions));
-        return ExitCode::SUCCESS;
+        write_out(args.out.as_ref(), &to_csv(&oracle.decisions))?;
+        return Ok(ExitCode::SUCCESS);
     }
 
     if let Some(ep) = args.replay {
@@ -159,9 +183,11 @@ fn main() -> ExitCode {
                 points: args.whatif,
             }));
         }
-        let mut client = Client::connect(&ep).expect("connect to server");
+        let mut client = Client::connect(&ep).map_err(|e| format!("connect {}: {e}", show(&ep)))?;
         let t0 = std::time::Instant::now();
-        let responses = client.replay(&frames).expect("replay trace");
+        let responses = client
+            .replay(&frames)
+            .map_err(|e| format!("replay to {}: {e}", show(&ep)))?;
         let dt = t0.elapsed();
         let mut decisions = Vec::new();
         let mut reconfigs = 0usize;
@@ -187,7 +213,7 @@ fn main() -> ExitCode {
             decisions.len(),
             decisions.len() as f64 / dt.as_secs_f64()
         );
-        write_out(args.out.as_ref(), &csv);
+        write_out(args.out.as_ref(), &csv)?;
         if !args.no_verify {
             let oracle = replay_inproc(&cfg, &events);
             let want = to_csv(&oracle.decisions);
@@ -195,19 +221,21 @@ fn main() -> ExitCode {
                 println!("serve: service output is byte-identical to the in-proc oracle");
             } else {
                 eprintln!("serve: MISMATCH between service output and in-proc oracle");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
     if let Some(ep) = args.shutdown {
-        let mut client = Client::connect(&ep).expect("connect to server");
-        client.shutdown().expect("send shutdown");
+        let mut client = Client::connect(&ep).map_err(|e| format!("connect {}: {e}", show(&ep)))?;
+        client
+            .shutdown()
+            .map_err(|e| format!("shutdown {}: {e}", show(&ep)))?;
         println!("serve: shutdown sent");
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
     eprintln!("serve: pass one of --listen / --replay / --inproc / --shutdown\n{USAGE}");
-    ExitCode::FAILURE
+    Ok(ExitCode::FAILURE)
 }

@@ -167,37 +167,37 @@ pub fn drive(
     frames: &[RequestFrame],
     batching: Batching,
 ) -> Vec<ResponseFrame> {
-    // "Client writes": every request as wire bytes.
-    let mut wire_in = Vec::with_capacity(frames.len() * 40);
-    for f in frames {
-        encode_request(&mut wire_in, f);
-    }
     let gate = Arc::clone(pool.gate());
     let mut responses = Vec::with_capacity(frames.len());
     let mut envelopes: Vec<Envelope<ResponseFrame>> = Vec::new();
+    // "Client writes": the next request as wire bytes, encoded just
+    // ahead of the feed, so the wire buffers hold one frame and one
+    // drain rather than the whole trace.
+    let mut wire_in: Vec<u8> = Vec::new();
     let mut wire_out: Vec<u8> = Vec::new();
-    let mut out_at = 0usize;
-    let mut in_at = 0usize;
     let mut sent = 0usize;
     let sync = batching == Batching::PerRequest;
     while responses.len() < frames.len() {
         let seen = gate.generation();
         let mut progress = false;
         // Feed: decode from the wire and dispatch, stopping at
-        // backpressure. In per-request mode a frame is published only
-        // once every prior frame's response is already in hand.
-        while in_at < wire_in.len() && !(sync && sent > responses.len()) {
-            let (frame, n) = match decode_request(&wire_in[in_at..]) {
-                Ok(Some(hit)) => hit,
-                Ok(None) => break,
-                Err(e) => panic!("self-encoded frame failed to decode: {e}"),
+        // backpressure (the frame stays encoded for the next try). In
+        // per-request mode a frame is published only once every prior
+        // frame's response is already in hand.
+        while sent < frames.len() && !(sync && sent > responses.len()) {
+            if wire_in.is_empty() {
+                encode_request(&mut wire_in, &frames[sent]);
+            }
+            let frame = match decode_request(&wire_in) {
+                Ok(Some((frame, n))) if n == wire_in.len() => frame,
+                other => panic!("self-encoded frame failed to decode: {other:?}"),
             };
             let shard = pool.route(frame.tenant().expect("replay sends only engine frames"));
             if pool.backlogged(shard) {
                 break;
             }
             pool.send(shard, 0, frame);
-            in_at += n;
+            wire_in.clear();
             sent += 1;
             progress = true;
             if sync {
@@ -211,12 +211,15 @@ pub fn drive(
             for env in envelopes.drain(..) {
                 encode_response(&mut wire_out, &env.frame);
             }
+            let mut out_at = 0;
             while let Some((frame, n)) = decode_response(&wire_out[out_at..])
                 .expect("self-encoded response failed to decode")
             {
                 responses.push(frame);
                 out_at += n;
             }
+            assert_eq!(out_at, wire_out.len(), "a drain encodes whole frames");
+            wire_out.clear();
         }
         if !progress {
             gate.wait_past(seen);
@@ -236,12 +239,14 @@ pub fn replay_service(
     reconfigs: &[ReconfigEvent],
     verify: bool,
 ) -> ServiceReplay {
-    let trace = generate(config);
-    let frames = request_frames(&trace, reconfigs);
+    let frames = request_frames(&generate(config), reconfigs);
     let mut pool = ShardPool::new(config, shards, batching.quantum(), verify);
     let responses = drive(&mut pool, &frames, batching);
     pool.join();
-    let mut decisions = Vec::with_capacity(trace.len());
+    // Only the responses are needed from here on; dropping the frames
+    // keeps them from sharing the peak with the split below.
+    drop(frames);
+    let mut decisions = Vec::with_capacity(responses.len() - reconfigs.len());
     let mut out_reconfigs = Vec::with_capacity(reconfigs.len());
     for r in responses {
         match r {

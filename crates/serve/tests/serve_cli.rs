@@ -1,7 +1,7 @@
 //! The `serve` CLI rejects a missing or unparsable flag value with its
-//! usage line and exit status 1, never by panicking, and a malformed
-//! size knob warns and keeps its default instead of being silently
-//! replaced.
+//! usage line and exit status 1, and a runtime failure with a labelled
+//! error and exit status 1, never by panicking; a malformed size knob
+//! warns and keeps its default instead of being silently replaced.
 
 use std::process::{Command, Output};
 
@@ -67,4 +67,34 @@ fn a_malformed_reconfig_count_warns_and_keeps_zero() {
     assert!(out.status.success(), "{stderr}");
     assert!(stderr.contains("ADMIT_RECONFIGS"), "{stderr}");
     assert_eq!(out.stdout, clean.stdout);
+}
+
+#[test]
+fn runtime_errors_exit_1_without_panicking() {
+    let env = [("ADMIT_FLEET", "2"), ("ADMIT_REQS", "3")];
+    let scratch = std::env::temp_dir().join(format!("nc-serve-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&scratch).expect("create scratch dir");
+    // `missing` is never created: nothing listens under it, and no
+    // socket can be bound there.
+    let sock = scratch.join("missing").join("x.sock");
+    let sock = sock.to_str().expect("utf-8 temp path");
+    // A regular file where `--out` needs a directory.
+    let file = scratch.join("file");
+    std::fs::write(&file, "").expect("create scratch file");
+    let csv = file.join("x.csv");
+    let csv = csv.to_str().expect("utf-8 temp path");
+    let cases: [(&[&str], &str); 4] = [
+        (&["--shutdown", sock], "serve: connect "),
+        (&["--replay", sock], "serve: connect "),
+        (&["--listen", sock], "serve: bind "),
+        (&["--inproc", "--out", csv], "serve: write "),
+    ];
+    for (flags, named) in cases {
+        let out = serve(flags, &env);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flags:?}: {stderr}");
+        assert!(stderr.contains(named), "{flags:?} says {named:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&scratch);
 }

@@ -16,6 +16,12 @@ echo "==> tier-1: cargo build --release && cargo test -q --workspace"
 cargo build --release
 cargo test -q --workspace
 
+echo "==> release-profile rational arithmetic: nc-core num unit tests + prop_num"
+# The service ships the release build, where i128 arithmetic wraps
+# where the debug build panics; the tier-1 lane above tests only debug.
+cargo test --release -q -p nc-core --lib num::
+cargo test --release -q -p nc-core --test prop_num
+
 echo "==> perfbench builds against the public API, unedited"
 # perfbench/ is a package of its own that only benchmark changes edit;
 # every other change must keep the API it uses working.
