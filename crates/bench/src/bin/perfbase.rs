@@ -926,7 +926,8 @@ fn oracle_decision(config: &RequestConfig, tenant: usize) -> impl FnMut() {
 /// mirror [`WARM_PAIR`], batched and one frame at a time (parking
 /// until each response returns); trace rows replay the canonical
 /// 8-tenant fleet per shard count, pool spawn and join included, after
-/// a byte comparison against the in-proc engine.
+/// a byte comparison against the in-proc engine. The socket rows
+/// ([`serve_socket`]) add the syscalls back.
 fn serve(b: &mut Bench) {
     use nc_serve::proto::{ReqFrame, RequestFrame};
     use nc_serve::replay::{drive, replay_service, to_csv, Batching};
@@ -989,4 +990,86 @@ fn serve(b: &mut Bench) {
             replay_service(&trace_cfg, shards, batched, &[], false)
         });
     }
+    serve_socket(b);
+}
+
+/// Name of the thread the socket rows run the service's event loop on.
+const SOCKET_LOOP: &str = "perfbase-serve";
+
+/// The socket path: a real `Server` on a Unix socket, its event loop on
+/// a [`SOCKET_LOOP`] thread, and `Client::replay` of the canonical
+/// trace at 64 tenants, the decisions byte-compared against the in-proc
+/// engine once before timing. Every arrival departs within the trace,
+/// so each replay leaves the engine as it found it. Two rows per
+/// decision: wall time, and the server threads' CPU time averaged over
+/// every timed replay ([`server_cpu_ns`]).
+fn serve_socket(b: &mut Bench) {
+    use nc_serve::replay::{request_frames, to_csv};
+    use nc_serve::service::{Client, Endpoint, Server};
+    use nc_serve::ResponseFrame;
+    use nc_workloads::requests::generate;
+
+    let cfg = fleet::request_config(7, 64, 250);
+    let frames = request_frames(&generate(&cfg), &[]);
+    let path = std::env::temp_dir().join(format!("nc-perfbase-{}.sock", std::process::id()));
+    let ep = Endpoint::Uds(path.clone());
+    let server = Server::bind(&ep, &cfg, 1, 256, false).expect("bind the perfbase socket");
+    let event_loop = std::thread::Builder::new()
+        .name(SOCKET_LOOP.into())
+        .spawn(move || server.run().expect("event loop"))
+        .expect("spawn the event loop thread");
+    let mut client = Client::connect(&ep).expect("connect to the perfbase socket");
+    let mut decisions: Vec<_> = client
+        .replay(&frames)
+        .expect("socket replay")
+        .into_iter()
+        .map(|r| match r {
+            ResponseFrame::Decision(d) => d,
+            other => panic!("unexpected response {other:?}"),
+        })
+        .collect();
+    decisions.sort_by_key(|d| d.seq);
+    assert_eq!(
+        to_csv(&replay_inproc(&cfg, &[]).decisions),
+        to_csv(&decisions),
+        "socket replay diverged from the in-proc engine"
+    );
+
+    let what = "serve socket replay, 64 tenants x 250 arrivals";
+    let params = "shards=1 quantum=256";
+    let cpu_before = server_cpu_ns();
+    let mut replays = 0usize;
+    b.time_per_decision(what, params, frames.len(), || {
+        replays += 1;
+        client.replay(&frames).expect("socket replay")
+    });
+    let cpu_ns = server_cpu_ns() - cpu_before;
+    let per_decision = cpu_ns as f64 * 1e-9 / (replays * frames.len()) as f64;
+    b.row(what, params, "server_cpu_s", per_decision);
+    client.shutdown().expect("shut the perfbase server down");
+    event_loop.join().expect("event loop thread");
+    let _ = std::fs::remove_file(path);
+}
+
+/// CPU time, ns, this process's server threads have run: the
+/// [`SOCKET_LOOP`] thread and the `nc-serve-shard-*` workers (the
+/// kernel keeps 15 bytes of a thread name). Sums the first field of
+/// each thread's `/proc/self/task/<tid>/schedstat`.
+fn server_cpu_ns() -> u64 {
+    let mut ns = 0;
+    let tasks = std::fs::read_dir("/proc/self/task").expect("list /proc/self/task");
+    for task in tasks {
+        let dir = task.expect("read a /proc/self/task entry").path();
+        let comm = std::fs::read_to_string(dir.join("comm")).unwrap_or_default();
+        let comm = comm.trim_end();
+        if comm == SOCKET_LOOP || comm.starts_with("nc-serve-shard") {
+            let stat = std::fs::read_to_string(dir.join("schedstat")).expect("read schedstat");
+            ns += stat
+                .split_whitespace()
+                .next()
+                .and_then(|on_cpu| on_cpu.parse::<u64>().ok())
+                .expect("schedstat starts with the ns on CPU");
+        }
+    }
+    ns
 }

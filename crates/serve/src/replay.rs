@@ -246,15 +246,27 @@ pub fn replay_service(
     // Only the responses are needed from here on; dropping the frames
     // keeps them from sharing the peak with the split below.
     drop(frames);
-    let mut decisions = Vec::with_capacity(responses.len() - reconfigs.len());
-    let mut out_reconfigs = Vec::with_capacity(reconfigs.len());
-    for r in responses {
-        match r {
-            ResponseFrame::Decision(d) => decisions.push(d),
-            ResponseFrame::Reconfigured(rc) => out_reconfigs.push(rc),
+    // Split in place: the few reconfigurations are copied out, then the
+    // decisions are collected into the responses' own allocation (std
+    // collects a `vec::IntoIter` in place when the new element is no
+    // larger and no more aligned), so the trace is never held twice;
+    // the shrink returns the unused tail before a caller renders it.
+    let mut out_reconfigs: Vec<ReconfiguredFrame> = responses
+        .iter()
+        .filter_map(|r| match r {
+            ResponseFrame::Reconfigured(rc) => Some(*rc),
+            _ => None,
+        })
+        .collect();
+    let mut decisions: Vec<DecisionFrame> = responses
+        .into_iter()
+        .filter_map(|r| match r {
+            ResponseFrame::Decision(d) => Some(d),
+            ResponseFrame::Reconfigured(_) => None,
             ResponseFrame::WhatIf(_) => panic!("unexpected what-if answer in replay"),
-        }
-    }
+        })
+        .collect();
+    decisions.shrink_to_fit();
     decisions.sort_by_key(|d| d.seq);
     out_reconfigs.sort_by_key(|r| r.seq);
     ServiceReplay {

@@ -2,12 +2,33 @@
 //! shard pool.
 //!
 //! No `epoll`/`mio` — the vendored dependency set has neither, so the
-//! acceptor runs all sockets in nonblocking mode and polls them in a
-//! spin → yield → sleep backoff ladder (the same discipline
-//! `nc_des::link::ProgressGate` uses before parking). At smoke-test
-//! connection counts this is indistinguishable from a readiness API;
-//! the interesting concurrency — batching, backpressure, parking —
-//! lives on the shard rings either way.
+//! acceptor runs all sockets in nonblocking mode and polls them. A turn
+//! that makes no progress waits in one of two ways:
+//!
+//! * **Park** on the pool's `ProgressGate` while the shards owe the
+//!   loop at least one publication quantum of responses
+//!   ([`ShardPool::owed`] ≥ [`ShardPool::quantum`]) and every write
+//!   buffer is flushed. A shard publishes every quantum of responses
+//!   and flushes before it parks, the sidecar bumps the gate after each
+//!   answer, and a dead worker's dropped ring bumps it too, so the wake
+//!   is at most one quantum of decisions away. The generation is read
+//!   at the top of the turn, before any socket read or drain, so a
+//!   publication landing mid-turn is never slept through.
+//! * **Ladder** otherwise: spin, then yield, then sleep 200 µs. Below a
+//!   quantum owed (light load, startup, the drain at shutdown) the next
+//!   frame may come from a socket, which bumps no gate; a blocked write
+//!   has no wake source either.
+//!
+//! The threshold is one quantum because that is the unit a shard
+//! publishes in: parking on less would put a futex wake in front of
+//! every light-load request, while at a quantum the shard still holds
+//! queued work when the loop wakes to refill it. At saturation the
+//! ladder never reached its sleep step, because every idle turn
+//! repeated `accept` and `read` syscalls while the shard worked through
+//! its window: on `serve-saturate` (2 vCPUs) the loop thread spent
+//! 80–96% of a core, mostly in the kernel, 45–51% of the server's
+//! CPU. Parked, it spends 11–13%, and the shard worker is the one busy
+//! server thread (EXPERIMENTS §E-loop).
 //!
 //! Frame flow per loop turn:
 //!
@@ -33,7 +54,7 @@
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -110,6 +131,21 @@ impl Stream {
         match self {
             Stream::Uds(s) => s.set_nonblocking(on),
             Stream::Tcp(s) => s.set_nonblocking(on),
+        }
+    }
+
+    fn try_clone(&self) -> io::Result<Stream> {
+        Ok(match self {
+            Stream::Uds(s) => Stream::Uds(s.try_clone()?),
+            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
+        })
+    }
+
+    /// Shut both directions, waking any thread blocked on a clone.
+    fn shutdown(&self) -> io::Result<()> {
+        match self {
+            Stream::Uds(s) => s.shutdown(Shutdown::Both),
+            Stream::Tcp(s) => s.shutdown(Shutdown::Both),
         }
     }
 }
@@ -217,7 +253,7 @@ impl Server {
     ) -> io::Result<Server> {
         let listener = Listener::bind(endpoint)?;
         let pool = ShardPool::new(config, shards, quantum, verify);
-        let sidecar = Sidecar::spawn(config);
+        let sidecar = Sidecar::spawn(config, pool.gate());
         Ok(Server {
             listener,
             pool,
@@ -283,6 +319,10 @@ impl Server {
         let mut shutting_down = false;
         let mut idle_turns = 0u32;
         loop {
+            // Read before any socket read or drain: a publication that
+            // lands after this turn's drain then moves the generation
+            // past `seen`, and the park below returns at once.
+            let seen = pool.gate().generation();
             let mut progress = false;
 
             // 1. Accept.
@@ -483,9 +523,14 @@ impl Server {
                 }
             }
 
-            // Backoff ladder: spin briefly, then yield, then sleep.
+            // Idle: park while the shards owe a publication quantum and
+            // no write is blocked (module doc); otherwise step the
+            // backoff ladder: spin briefly, then yield, then sleep.
+            let flushed = || conns.iter().flatten().all(|c| c.wpos == c.wbuf.len());
             if progress {
                 idle_turns = 0;
+            } else if pool.owed() >= pool.quantum() && flushed() {
+                pool.gate().wait_past(seen);
             } else {
                 idle_turns += 1;
                 if idle_turns < 64 {
@@ -528,11 +573,17 @@ impl Client {
     }
 
     /// Pipeline every frame and collect one response per
-    /// response-bearing frame. Writes and reads are interleaved
-    /// (nonblocking): the server stops reading a connection whose
-    /// outbound buffer is over its high-water mark, so a client that
-    /// wrote the whole trace before reading anything could deadlock
-    /// against that throttle on a large enough trace.
+    /// response-bearing frame. A writer thread sends the trace on a
+    /// clone of the stream while this thread reads: the server stops
+    /// reading a connection whose outbound buffer is over its
+    /// high-water mark, so a client that wrote the whole trace before
+    /// reading anything could deadlock against that throttle on a large
+    /// enough trace.
+    ///
+    /// A failed read shuts the stream down before the writer is joined,
+    /// so a writer blocked on a throttled connection cannot hang the
+    /// caller; the read's error is returned. Otherwise a failed write
+    /// returns the writer's error.
     pub fn replay(&mut self, frames: &[RequestFrame]) -> io::Result<Vec<ResponseFrame>> {
         let expected = frames
             .iter()
@@ -542,78 +593,55 @@ impl Client {
         for f in frames {
             encode_request(&mut wire, f);
         }
-        self.stream.set_nonblocking(true)?;
-        let outcome = self.pump(&wire, expected);
-        let restored = self.stream.set_nonblocking(false);
-        let responses = outcome?;
-        restored?;
-        Ok(responses)
+        let mut writer = self.stream.try_clone()?;
+        std::thread::scope(|s| {
+            let sent = s.spawn(move || writer.write_all(&wire).and_then(|()| writer.flush()));
+            let read = self.read_responses(expected);
+            if read.is_err() {
+                let _ = self.stream.shutdown();
+            }
+            let sent = sent.join().expect("replay writer thread panicked");
+            let responses = read?;
+            sent?;
+            Ok(responses)
+        })
     }
 
-    /// The nonblocking write/read loop of [`Client::replay`]; the
-    /// stream must already be in nonblocking mode.
-    fn pump(&mut self, wire: &[u8], expected: usize) -> io::Result<Vec<ResponseFrame>> {
-        let mut written = 0usize;
+    /// Blocking reads until `expected` responses have arrived.
+    fn read_responses(&mut self, expected: usize) -> io::Result<Vec<ResponseFrame>> {
         let mut responses = Vec::with_capacity(expected);
         let mut buf = Vec::new();
         let mut pos = 0usize;
         let mut chunk = [0u8; 16 << 10];
-        while written < wire.len() || responses.len() < expected {
-            let mut progress = false;
-            while written < wire.len() {
-                match self.stream.write(&wire[written..]) {
-                    Ok(0) => {
+        while responses.len() < expected {
+            match self.stream.read(&mut chunk) {
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        format!(
+                            "server closed after {}/{expected} responses",
+                            responses.len()
+                        ),
+                    ))
+                }
+                Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+            loop {
+                match decode_response(&buf[pos..]) {
+                    Ok(Some((frame, used))) => {
+                        responses.push(frame);
+                        pos += used;
+                    }
+                    Ok(None) => break,
+                    Err(e) => {
                         return Err(io::Error::new(
-                            io::ErrorKind::WriteZero,
-                            "server stopped accepting the trace",
+                            io::ErrorKind::InvalidData,
+                            format!("bad response frame: {e}"),
                         ))
                     }
-                    Ok(n) => {
-                        written += n;
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e),
                 }
-            }
-            while responses.len() < expected {
-                match self.stream.read(&mut chunk) {
-                    Ok(0) => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            format!(
-                                "server closed after {}/{expected} responses",
-                                responses.len()
-                            ),
-                        ))
-                    }
-                    Ok(n) => {
-                        buf.extend_from_slice(&chunk[..n]);
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e),
-                }
-                loop {
-                    match decode_response(&buf[pos..]) {
-                        Ok(Some((frame, used))) => {
-                            responses.push(frame);
-                            pos += used;
-                        }
-                        Ok(None) => break,
-                        Err(e) => {
-                            return Err(io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                format!("bad response frame: {e}"),
-                            ))
-                        }
-                    }
-                }
-            }
-            if !progress {
-                std::thread::yield_now();
             }
         }
         Ok(responses)

@@ -78,6 +78,10 @@ pub struct ShardPool {
     /// `None` once joined (or once its panic was re-raised).
     workers: Vec<Option<JoinHandle<()>>>,
     shards: usize,
+    /// Publication quantum of every ring, frames.
+    quantum: usize,
+    /// Frames sent and not yet drained back as responses.
+    owed: usize,
     /// Set by [`ShardPool::close_requests`]. Until then a worker exits
     /// only by panicking.
     requests_closed: bool,
@@ -92,6 +96,9 @@ impl ShardPool {
     /// recompute per class × stage).
     pub fn new(config: &RequestConfig, shards: usize, quantum: usize, verify: bool) -> ShardPool {
         let shards = shards.max(1);
+        // The batch the links will use (`LinkTx::set_batch` clamps to
+        // the ring capacity), so `quantum()` reports the real one.
+        let quantum = quantum.clamp(1, RING_CAP);
         let gate = ProgressGate::new();
         let partitions = fleet::shard_tenants(config.tenants, shards);
         let mut to_shards = Vec::with_capacity(shards);
@@ -100,8 +107,8 @@ impl ShardPool {
         for (ix, tenant_ixs) in partitions.into_iter().enumerate() {
             let (mut req_tx, req_rx) = link::<Envelope<RequestFrame>>(RING_CAP, &gate);
             let (mut resp_tx, resp_rx) = link::<Envelope<ResponseFrame>>(RING_CAP, &gate);
-            req_tx.set_batch(quantum.max(1));
-            resp_tx.set_batch(quantum.max(1));
+            req_tx.set_batch(quantum);
+            resp_tx.set_batch(quantum);
             let cfg = config.clone();
             let worker_gate = Arc::clone(&gate);
             let handle = std::thread::Builder::new()
@@ -120,6 +127,8 @@ impl ShardPool {
             from_shards,
             workers,
             shards,
+            quantum,
+            owed: 0,
             requests_closed: false,
         }
     }
@@ -132,6 +141,21 @@ impl ShardPool {
     /// Number of shards.
     pub fn shards(&self) -> usize {
         self.shards
+    }
+
+    /// The ring publication quantum, frames: a shard publishes its
+    /// responses every `quantum` frames, and whatever it holds before
+    /// it parks.
+    pub fn quantum(&self) -> usize {
+        self.quantum
+    }
+
+    /// Frames sent to the shards whose responses [`ShardPool::drain`]
+    /// has not returned yet. While this is at least
+    /// [`ShardPool::quantum`], a shard publication — and with it a
+    /// gate bump — is at most one quantum of work away.
+    pub fn owed(&self) -> usize {
+        self.owed
     }
 
     /// The shard owning a tenant.
@@ -149,6 +173,7 @@ impl ShardPool {
     /// batching quantum; never blocks).
     pub fn send(&mut self, shard: usize, conn: u32, frame: RequestFrame) {
         self.to_shards[shard].send(Envelope { conn, frame });
+        self.owed += 1;
     }
 
     /// Publish any partially filled request batches. Must be called
@@ -173,6 +198,7 @@ impl ShardPool {
             rx.poll();
             while let Some(env) = rx.pop() {
                 out.push(env);
+                self.owed -= 1;
                 any = true;
             }
             if !self.requests_closed && rx.exhausted() {
@@ -554,6 +580,7 @@ mod tests {
                 gate.wait_past(seen);
             }
         }
+        assert_eq!(pool.owed(), 0, "every frame sent was drained back");
         pool.join();
         let mut seqs: Vec<u64> = out
             .iter()

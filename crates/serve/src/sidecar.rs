@@ -14,12 +14,18 @@
 //! transform the shard applied), so what-if answers reflect the
 //! post-reconfiguration fleet without the sidecar ever touching an
 //! engine.
+//!
+//! Each answer bumps the shard pool's progress gate once it is on the
+//! reply channel, so an event loop parked on that gate wakes for it as
+//! it would for a shard publication.
 
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::Arc;
 use std::thread;
 
 use nc_core::num::Rat;
 use nc_core::pipeline::Pipeline;
+use nc_des::link::ProgressGate;
 use nc_sweep::{Axis, Param, SweepSpec};
 use nc_workloads::requests::RequestConfig;
 
@@ -44,14 +50,15 @@ pub struct Sidecar {
 
 impl Sidecar {
     /// Spawn the sidecar with a pipeline snapshot of the fleet
-    /// described by `config`.
-    pub fn spawn(config: &RequestConfig) -> Self {
+    /// described by `config`. `gate` is bumped after every answer.
+    pub fn spawn(config: &RequestConfig, gate: &Arc<ProgressGate>) -> Self {
         let pipelines: Vec<Pipeline> = (0..config.tenants).map(fleet::tenant_pipeline).collect();
         let (tx, rx) = channel::<Cmd>();
         let (ans_tx, answers) = channel();
+        let gate = Arc::clone(gate);
         let handle = thread::Builder::new()
             .name("nc-serve-sidecar".into())
-            .spawn(move || worker(pipelines, rx, ans_tx))
+            .spawn(move || worker(pipelines, rx, ans_tx, &gate))
             .expect("spawn sidecar thread");
         Sidecar {
             tx,
@@ -105,7 +112,12 @@ impl Drop for Sidecar {
     }
 }
 
-fn worker(mut pipelines: Vec<Pipeline>, rx: Receiver<Cmd>, answers: Sender<(u32, WhatIfAnswer)>) {
+fn worker(
+    mut pipelines: Vec<Pipeline>,
+    rx: Receiver<Cmd>,
+    answers: Sender<(u32, WhatIfAnswer)>,
+    gate: &ProgressGate,
+) {
     while let Ok(cmd) = rx.recv() {
         match cmd {
             Cmd::Query { conn, frame } => {
@@ -113,6 +125,9 @@ fn worker(mut pipelines: Vec<Pipeline>, rx: Receiver<Cmd>, answers: Sender<(u32,
                 if answers.send((conn, answer)).is_err() {
                     break;
                 }
+                // After the send: a waiter woken by this bump finds
+                // the answer on the channel.
+                gate.bump();
             }
             Cmd::Update {
                 tenant,
@@ -192,11 +207,12 @@ pub fn answer(pipelines: &[Pipeline], frame: &WhatIfFrame) -> WhatIfAnswer {
 mod tests {
     use super::*;
     use crate::fleet::request_config;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn sidecar_answers_and_tracks_reconfigurations() {
         let cfg = request_config(11, 4, 10);
-        let sc = Sidecar::spawn(&cfg);
+        let sc = Sidecar::spawn(&cfg, &ProgressGate::new());
         sc.query(
             7,
             WhatIfFrame {
@@ -244,6 +260,41 @@ mod tests {
             degraded.feasible,
             ans.feasible
         );
+        sc.join();
+    }
+
+    /// An event loop parked on the pool's gate must wake for an
+    /// answer: the generation moves once the answer is sent.
+    #[test]
+    fn each_answer_bumps_the_gate() {
+        let gate = ProgressGate::new();
+        let sc = Sidecar::spawn(&request_config(11, 2, 4), &gate);
+        let seen = gate.generation();
+        sc.query(
+            3,
+            WhatIfFrame {
+                id: 5,
+                tenant: 1,
+                points: 2,
+            },
+        );
+        let (conn, ans) = loop {
+            if let Some(hit) = sc.poll() {
+                break hit;
+            }
+            std::thread::yield_now();
+        };
+        assert_eq!((conn, ans.id), (3, 5));
+        // The bump follows the send; allow the sidecar time to reach
+        // it, but fail rather than hang if it never comes.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while gate.generation() == seen {
+            assert!(
+                Instant::now() < deadline,
+                "the answer never bumped the gate"
+            );
+            std::thread::yield_now();
+        }
         sc.join();
     }
 

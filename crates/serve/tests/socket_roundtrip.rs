@@ -2,19 +2,31 @@
 //! TCP), a pipelined client replaying the canonical trace, a what-if
 //! query through the sidecar, a clean shutdown — and a hostile peer
 //! whose garbage closes its connection without disturbing anyone else.
+//! The park-path tests run a server at [`QUANTUM`] under a watchdog, so
+//! a lost wake-up fails them instead of hanging them.
 
 use std::io::{Read, Write};
 use std::net::SocketAddr;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 use nc_serve::proto::{
-    decode_response, encode_request, EventKind, ReconfigFrame, ReqFrame, WhatIfFrame,
+    decode_response, encode_request, EventKind, ReconfigFrame, ReconfiguredFrame, ReqFrame,
+    WhatIfFrame,
 };
 use nc_serve::replay::{replay_inproc, request_frames, to_csv};
 use nc_serve::service::{Client, Endpoint, Server};
 use nc_serve::{fleet, RequestFrame, ResponseFrame};
-use nc_workloads::requests::generate;
+use nc_workloads::requests::{generate, reconfig_events};
+
+/// Publication quantum of the park-path tests: small, so a short trace
+/// keeps the event loop owed several quanta at a time.
+const QUANTUM: usize = 8;
+
+/// How long a park-path test may take before it counts as hung.
+const WATCHDOG: Duration = Duration::from_secs(60);
 
 fn uds_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("nc-serve-test-{}-{tag}.sock", std::process::id()))
@@ -188,18 +200,24 @@ fn out_of_range_fields_close_the_connection_not_the_server() {
     let _ = std::fs::remove_file(path);
 }
 
-/// Read one response frame from a raw stream.
-fn read_response(s: &mut UnixStream) -> nc_serve::ResponseFrame {
+/// Read `n` response frames from a raw stream.
+fn read_responses(s: &mut UnixStream, n: usize) -> Vec<ResponseFrame> {
+    let mut out = Vec::with_capacity(n);
     let mut buf = Vec::new();
-    let mut chunk = [0u8; 256];
-    loop {
-        if let Some((frame, _)) = decode_response(&buf).expect("well-formed response") {
-            return frame;
+    let mut chunk = [0u8; 4096];
+    while out.len() < n {
+        let got = s.read(&mut chunk).expect("read responses");
+        assert!(got > 0, "server closed after {}/{n} responses", out.len());
+        buf.extend_from_slice(&chunk[..got]);
+        let mut pos = 0;
+        while let Some((frame, used)) = decode_response(&buf[pos..]).expect("well-formed response")
+        {
+            out.push(frame);
+            pos += used;
         }
-        let n = s.read(&mut chunk).expect("read response");
-        assert!(n > 0, "server closed before answering");
-        buf.extend_from_slice(&chunk[..n]);
+        buf.drain(..pos);
     }
+    out
 }
 
 /// Reconfiguration sequence numbers are client-chosen: two
@@ -244,14 +262,14 @@ fn colliding_reconfig_seqs_across_connections_stay_isolated() {
         }),
     );
     b.write_all(&wire).expect("write b");
-    match read_response(&mut a) {
+    match read_responses(&mut a, 1).remove(0) {
         ResponseFrame::Reconfigured(rc) => {
             assert_eq!((rc.seq, rc.tenant), (7, 1));
             assert!(rc.applied, "tier-0 derate must apply");
         }
         other => panic!("unexpected response on a: {other:?}"),
     }
-    match read_response(&mut b) {
+    match read_responses(&mut b, 1).remove(0) {
         ResponseFrame::Reconfigured(rc) => {
             assert_eq!((rc.seq, rc.tenant), (7, 3));
             assert!(!rc.applied, "zero-rate tier must be rejected");
@@ -272,7 +290,7 @@ fn colliding_reconfig_seqs_across_connections_stay_isolated() {
         }),
     );
     a.write_all(&wire).expect("write what-if");
-    match read_response(&mut a) {
+    match read_responses(&mut a, 1).remove(0) {
         ResponseFrame::WhatIf(ans) => {
             assert_eq!(ans.tenant, 1);
             assert!(
@@ -292,4 +310,131 @@ fn colliding_reconfig_seqs_across_connections_stay_isolated() {
     assert_eq!(stats.whatifs, 1);
     assert_eq!(stats.protocol_errors, 0);
     let _ = std::fs::remove_file(path);
+}
+
+/// Run `body` on a helper thread and fail if it has not finished within
+/// [`WATCHDOG`]: an event loop parked past its last wake-up then fails
+/// the test instead of hanging it.
+fn under_watchdog(body: impl FnOnce() + Send + 'static) {
+    let (done_tx, done_rx) = mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        body();
+        let _ = done_tx.send(());
+    });
+    match done_rx.recv_timeout(WATCHDOG) {
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("no result after {WATCHDOG:?}: the event loop missed a wake-up")
+        }
+        // Finished, or panicked (the sender dropped unsent): the join
+        // re-raises a panic.
+        _ => {
+            if let Err(panic) = helper.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    }
+}
+
+/// A client writes many quanta of the canonical trace, with
+/// reconfigurations and what-ifs inside the window and `Shutdown` right
+/// behind the last frame, before it reads anything. The event loop
+/// parks while the shards owe it a quantum and must wake for every
+/// shard publication and sidecar answer: every answer arrives, the
+/// decisions equal the in-proc oracle, and `run` returns.
+#[test]
+fn a_pipelined_trace_with_shutdown_behind_it_is_answered_in_full() {
+    under_watchdog(|| {
+        let path = uds_path("pipelined");
+        let cfg = fleet::request_config(11, 4, 15);
+        let events = reconfig_events(&cfg, 1, fleet::RECONFIG_TIERS as u32);
+        let mut frames = request_frames(&generate(&cfg), &events);
+        for (at, id) in [(frames.len() / 3, 1u64), (2 * frames.len() / 3, 2)] {
+            let whatif = WhatIfFrame {
+                id,
+                tenant: id as u32,
+                points: 4,
+            };
+            frames.insert(at, RequestFrame::WhatIf(whatif));
+        }
+        assert!(frames.len() >= 4 * QUANTUM);
+        frames.push(RequestFrame::Shutdown);
+
+        let ep = Endpoint::Uds(path.clone());
+        let server = Server::bind(&ep, &cfg, 2, QUANTUM, false).expect("bind uds");
+        let handle = std::thread::spawn(move || server.run().expect("event loop"));
+        let mut s = UnixStream::connect(&path).expect("connect raw");
+        let mut wire = Vec::new();
+        for f in &frames {
+            encode_request(&mut wire, f);
+        }
+        s.write_all(&wire).expect("write the whole trace");
+
+        let mut decisions = Vec::new();
+        let mut reconfigs = Vec::new();
+        let mut whatifs = 0;
+        for r in read_responses(&mut s, frames.len() - 1) {
+            match r {
+                ResponseFrame::Decision(d) => decisions.push(d),
+                ResponseFrame::Reconfigured(rc) => reconfigs.push(rc),
+                ResponseFrame::WhatIf(_) => whatifs += 1,
+            }
+        }
+        decisions.sort_by_key(|d| d.seq);
+        reconfigs.sort_by_key(|rc| rc.seq);
+        let want = replay_inproc(&cfg, &events);
+        assert_eq!(to_csv(&want.decisions), to_csv(&decisions));
+        // `evicted` counts the shard's own model-cache entries, which
+        // depend on the shard count; the verdicts do not.
+        let verdicts = |rcs: &[ReconfiguredFrame]| -> Vec<(u64, u32, u32, bool)> {
+            rcs.iter()
+                .map(|rc| (rc.seq, rc.tenant, rc.stage, rc.applied))
+                .collect()
+        };
+        assert_eq!(verdicts(&want.reconfigs), verdicts(&reconfigs));
+        assert_eq!(whatifs, 2);
+
+        let stats = handle.join().expect("server thread");
+        assert_eq!(stats.decisions, want.decisions.len() as u64);
+        assert_eq!(stats.reconfigs, events.len() as u64);
+        assert_eq!(stats.protocol_errors, 0);
+        let _ = std::fs::remove_file(path);
+    });
+}
+
+/// A peer pipelines two quanta and then garbage. The server closes it
+/// and drops those answers as they arrive, but they still settle what
+/// the shards owe: a stale count would park the loop with no
+/// publication to come, and the well-behaved replay behind it would
+/// never be read.
+#[test]
+fn answers_for_a_closed_connection_still_settle_what_is_owed() {
+    under_watchdog(|| {
+        let path = uds_path("owed");
+        let cfg = fleet::request_config(11, 2, 10);
+        let ep = Endpoint::Uds(path.clone());
+        let server = Server::bind(&ep, &cfg, 1, QUANTUM, false).expect("bind uds");
+        let handle = std::thread::spawn(move || server.run().expect("event loop"));
+        let frames = request_frames(&generate(&cfg), &[]);
+
+        let mut bad = UnixStream::connect(&path).expect("connect raw");
+        let mut wire = Vec::new();
+        for f in &frames[..2 * QUANTUM] {
+            encode_request(&mut wire, f);
+        }
+        wire.extend_from_slice(&[1, 0, 0, 0, 0xEE]);
+        bad.write_all(&wire).expect("write quanta and garbage");
+        let mut buf = [0u8; 64];
+        while bad.read(&mut buf).expect("read until close") > 0 {}
+
+        let mut client = Client::connect(&ep).expect("connect");
+        let responses = client.replay(&frames).expect("replay");
+        assert_eq!(responses.len(), frames.len());
+        client.shutdown().expect("shutdown");
+        let stats = handle.join().expect("server thread");
+        // One shard answers in dispatch order, so the closed peer's
+        // answers were all drained before the replay's.
+        assert_eq!(stats.decisions, (2 * QUANTUM + frames.len()) as u64);
+        assert_eq!(stats.protocol_errors, 1);
+        let _ = std::fs::remove_file(path);
+    });
 }

@@ -78,25 +78,31 @@ echo "==> serve smoke: UDS service, ~1k-request replay byte-compared to the in-p
 # (SERVE_VERIFY=1), a what-if query through the sidecar, and a clean
 # frame-driven shutdown. The replay client byte-compares the decision
 # CSV against the in-proc engine and exits non-zero on any difference.
-# Each command runs under `timeout 300`, so a hang fails the lane
-# instead of blocking it.
+# The lane runs twice: at the default publication quantum, then at
+# NC_PUB_QUANTUM=1, where the event loop parks on the shard gate
+# whenever a single response is owed and every publication wakes it —
+# the finest-grained park path. Each command runs under `timeout 300`,
+# so a hang (a lost wake-up) fails the lane instead of blocking it.
 cargo build --release -q -p nc-serve --bin serve
 serve_bin=target/release/serve
 serve_sock="/tmp/nc-serve-check.$$.sock"
 serve_csv="/tmp/nc-serve-check.$$.csv"
-rm -f "$serve_sock"
-ADMIT_FLEET=8 ADMIT_REQS=63 ADMIT_RECONFIGS=2 SERVE_VERIFY=1 \
-  timeout 300 "$serve_bin" --listen "$serve_sock" &
-serve_pid=$!
-for _ in $(seq 1 50); do [ -S "$serve_sock" ] && break; sleep 0.1; done
-[ -S "$serve_sock" ] \
-  || { echo "FAIL: serve never bound $serve_sock" >&2; kill "$serve_pid" 2>/dev/null; exit 1; }
-ADMIT_FLEET=8 ADMIT_REQS=63 ADMIT_RECONFIGS=2 \
-  timeout 300 "$serve_bin" --replay "$serve_sock" --whatif 4 --out "$serve_csv" \
-  || { echo "FAIL: serve replay diverged from the in-proc engine" >&2
-       kill "$serve_pid" 2>/dev/null; exit 1; }
-timeout 300 "$serve_bin" --shutdown "$serve_sock"
-wait "$serve_pid" || { echo "FAIL: serve server exited non-zero" >&2; exit 1; }
+for serve_quantum in 256 1; do
+  echo "    publication quantum $serve_quantum"
+  rm -f "$serve_sock"
+  NC_PUB_QUANTUM=$serve_quantum ADMIT_FLEET=8 ADMIT_REQS=63 ADMIT_RECONFIGS=2 SERVE_VERIFY=1 \
+    timeout 300 "$serve_bin" --listen "$serve_sock" &
+  serve_pid=$!
+  for _ in $(seq 1 50); do [ -S "$serve_sock" ] && break; sleep 0.1; done
+  [ -S "$serve_sock" ] \
+    || { echo "FAIL: serve never bound $serve_sock" >&2; kill "$serve_pid" 2>/dev/null; exit 1; }
+  ADMIT_FLEET=8 ADMIT_REQS=63 ADMIT_RECONFIGS=2 \
+    timeout 300 "$serve_bin" --replay "$serve_sock" --whatif 4 --out "$serve_csv" \
+    || { echo "FAIL: serve replay diverged from the in-proc engine" >&2
+         kill "$serve_pid" 2>/dev/null; exit 1; }
+  timeout 300 "$serve_bin" --shutdown "$serve_sock"
+  wait "$serve_pid" || { echo "FAIL: serve server exited non-zero" >&2; exit 1; }
+done
 rm -f "$serve_sock" "$serve_csv"
 
 echo "==> NC_THREADS determinism: striped fleet CSV byte-identical at 1 vs 2 workers"
