@@ -2,8 +2,10 @@
 //!
 //! The paper's §3 bounds answer exactly the question a capacity
 //! planner asks — *can this flow meet its deadline on this pipeline?*
-//! — but a full [`Pipeline::build_model`] + bounds pass per question is
-//! three orders of magnitude too slow for an online service. This
+//! — but a full
+//! [`Pipeline::build_model`](nc_core::pipeline::Pipeline::build_model) +
+//! bounds pass per question is three orders of magnitude too slow for
+//! an online service. This
 //! crate packages the analytics as a long-lived [`AdmissionEngine`]
 //! holding a fleet of tenant pipelines plus a shared
 //! [`ModelCache`](nc_core::pipeline::ModelCache), answering
@@ -180,15 +182,6 @@ impl Decision {
     /// `true` for both local and remote admission.
     pub fn is_admitted(&self) -> bool {
         !matches!(self, Decision::Reject { .. })
-    }
-
-    /// Stable lowercase label (CSV output).
-    pub fn label(&self) -> &'static str {
-        match self {
-            Decision::Admit { .. } => "admit",
-            Decision::AdmitRemote { .. } => "admit-remote",
-            Decision::Reject { reason } => reason.label(),
-        }
     }
 
     /// The certified delay bound, when admitted.

@@ -186,7 +186,6 @@ pub fn sim_config(seed: u64) -> SimConfig {
         seed,
         total_input: 2 << 20,
         source_chunk: Some(1024),
-        queue_capacity: None,
         queue_capacities: None,
         trace: true,
         service_model: nc_streamsim::ServiceModel::Uniform,
@@ -280,14 +279,8 @@ pub fn faulted_retry_sim_config(seed: u64) -> SimConfig {
 pub struct BitwReproduction {
     /// Pessimistic-scenario model (lower bounds).
     pub model_lower: PipelineModel,
-    /// Average-scenario model (queueing parameterization).
-    pub model_avg: PipelineModel,
-    /// Optimistic-scenario model (upper bounds).
-    pub model_upper: PipelineModel,
     /// Saturating-throughput simulation (pessimistic jobs).
     pub sim: SimResult,
-    /// Light-load latency simulation (delay/backlog observations).
-    pub sim_light: SimResult,
     /// Table 3 rows.
     pub table3: Vec<ThroughputRow>,
     /// §5 delay/backlog comparison.
@@ -355,10 +348,7 @@ pub fn reproduce(seed: u64) -> BitwReproduction {
 
     BitwReproduction {
         model_lower,
-        model_avg,
-        model_upper,
         sim,
-        sim_light,
         table3,
         bounds,
     }

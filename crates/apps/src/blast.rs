@@ -4,7 +4,7 @@
 //! # Calibration
 //!
 //! The paper does not publish per-stage BLAST rates (they come from
-//! Faber et al. [12]), so the stage parameters below are *calibrated*
+//! Faber et al. \[12\]), so the stage parameters below are *calibrated*
 //! to reproduce the published aggregates exactly (see DESIGN.md §5):
 //!
 //! * isolated normalized bottleneck rates 350 / 500 / 704 MiB/s — the
@@ -14,7 +14,7 @@
 //! * job-aggregation latency `T_tot ≈ 45 ms`, dominated by the FPGA
 //!   block collection and the GPU batch composer (node E of Figure 3),
 //!   reproducing `d ≈ 46.9 ms` and `x ≈ 20.6 MiB`;
-//! * a *deployed* rate set for the simulator: [12] reports the real
+//! * a *deployed* rate set for the simulator: \[12\] reports the real
 //!   deployment ran ~30 % below the isolated-measurement roofline, and
 //!   the paper's simulator (calibrated to deployment) lands at
 //!   353 MiB/s — so the simulated seed-match stage runs at local
@@ -188,7 +188,6 @@ pub fn sim_config(seed: u64) -> SimConfig {
         seed,
         total_input: 1 << 30,
         source_chunk: Some(1 << 20),
-        queue_capacity: None,
         queue_capacities: None,
         trace: true,
         service_model: nc_streamsim::ServiceModel::Uniform,
@@ -311,7 +310,7 @@ pub fn reproduce(seed: u64) -> BlastReproduction {
     }
 }
 
-/// The queueing-theory roofline of [12]: the smallest normalized
+/// The queueing-theory roofline of \[12\]: the smallest normalized
 /// *average* stage rate (offered load excluded — the roofline states
 /// the application's capability).
 pub fn queueing_prediction(model: &PipelineModel) -> f64 {
@@ -323,7 +322,7 @@ pub fn queueing_prediction(model: &PipelineModel) -> f64 {
             rate: n.rate_avg.to_f64(),
         })
         .collect();
-    let a = nc_queueing::analyze_tandem(1e15, &stages, (1u64 << 20) as f64).expect("valid tandem");
+    let a = nc_queueing::analyze_tandem(1e15, &stages).expect("valid tandem");
     a.roofline / 1048576.0
 }
 

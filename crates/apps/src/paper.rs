@@ -10,9 +10,9 @@ pub mod table1 {
     pub const NC_LOWER: f64 = 350.0;
     /// Discrete-event simulation model.
     pub const DES: f64 = 353.0;
-    /// Queueing theory prediction [12].
+    /// Queueing theory prediction \[12\].
     pub const QUEUEING: f64 = 500.0;
-    /// Measured throughput [12].
+    /// Measured throughput \[12\].
     pub const MEASURED: f64 = 355.0;
 }
 
@@ -57,7 +57,7 @@ pub mod table3 {
     pub const NC_UPPER: f64 = 313.0;
     /// Network calculus lower bound.
     pub const NC_LOWER: f64 = 59.0;
-    /// Discrete-event simulation model [34].
+    /// Discrete-event simulation model \[34\].
     pub const DES: f64 = 61.0;
     /// Queueing theory prediction.
     pub const QUEUEING: f64 = 151.0;

@@ -203,9 +203,10 @@ fn replicate(seeds: u64, scale_rows: bool, workers: usize) -> (String, Vec<Summa
     cfg_det.trace = false;
     cfg_det.total_input = 16u64 << 30;
     cfg_det.service_model = ServiceModel::Deterministic;
-    cfg_det.queue_capacity = Some(64 << 10);
+    let bitw_p = bitw::sim_pipeline();
+    cfg_det.queue_capacities = Some(vec![64 << 10; bitw_p.nodes.len()]);
     let t = std::time::Instant::now();
-    let det = simulate_in(&mut SimArena::new(), &bitw::sim_pipeline(), &cfg_det);
+    let det = simulate_in(&mut SimArena::new(), &bitw_p, &cfg_det);
     let wall = t.elapsed().as_secs_f64();
     let s = summarize(
         "BITW 16 GiB deterministic throughput (cycle-jump)",

@@ -52,7 +52,6 @@ fn main() {
             seed: 5,
             total_input: 1 << 30,
             source_chunk: Some(64 << 10),
-            queue_capacity: None,
             queue_capacities: None,
             service_model: nc_streamsim::ServiceModel::Uniform,
             trace: false,
@@ -100,8 +99,7 @@ fn main() {
             seed: 5,
             total_input: 16 << 30,
             source_chunk: Some(64 << 10),
-            queue_capacity: Some(4 << 20),
-            queue_capacities: None,
+            queue_capacities: Some(vec![4 << 20; base_pipeline().nodes.len()]),
             service_model: nc_streamsim::ServiceModel::Deterministic,
             trace: false,
             faults: None,

@@ -32,7 +32,6 @@ use nc_admit::{oracle, ClassId, Placement};
 use nc_apps::{bitw, blast};
 use nc_bench::perf::{self, Row, Snapshot};
 use nc_bench::tailload;
-use nc_core::curve::approx::{sampled_backlog, sampled_delay};
 use nc_core::curve::{shapes, Curve};
 use nc_core::num::{rat, Rat};
 use nc_core::ops::{
@@ -312,8 +311,7 @@ fn curves(b: &mut Bench) {
                 .fold(chain[0].clone(), |acc, c| min_plus_conv(&acc, c))
         });
     }
-    // Exact rational bounds vs grid-sampled f64 estimates (DESIGN §6):
-    // what exactness costs.
+    // Exact rational bounds on a capped arrival (DESIGN §6).
     let alpha = lb(2, 5).min(&shapes::constant_rate(Rat::int(7)));
     let beta = rl(3, 4).add(&rl(1, 1));
     b.time("exact backlog + delay", "", || {
@@ -322,15 +320,6 @@ fn curves(b: &mut Bench) {
             horizontal_deviation(&alpha, &beta),
         )
     });
-    for n in [64, 1024] {
-        b.time("sampled backlog + delay", &format!("n={n}"), || {
-            let horizon = Rat::int(50);
-            (
-                sampled_backlog(&alpha, &beta, horizon, n),
-                sampled_delay(&alpha, &beta, horizon, n),
-            )
-        });
-    }
     b.time("closure concave", "", || subadditive_closure(&concave, 8));
     b.time("closure rate-latency, 8 iterations", "", || {
         subadditive_closure(&rl32, 8)
@@ -591,7 +580,7 @@ fn models(b: &mut Bench) {
     let cfg = SimConfig {
         seed: 5,
         source_chunk: Some(64 << 10),
-        queue_capacity: Some(4 << 20),
+        queue_capacities: Some(vec![4 << 20]),
         service_model: ServiceModel::Deterministic,
         ..untraced(16 << 30)
     };
@@ -730,7 +719,7 @@ fn sims(b: &mut Bench) {
     // cannot jump, so it is the exact-stepping twin.
     let det = |total_input: u64, trace: bool| SimConfig {
         service_model: ServiceModel::Deterministic,
-        queue_capacity: Some(64 << 10),
+        queue_capacities: Some(vec![64 << 10; bitw_p.nodes.len()]),
         trace,
         ..untraced(total_input)
     };

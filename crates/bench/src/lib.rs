@@ -336,7 +336,6 @@ pub mod tailload {
                 seed: replica + 1,
                 total_input: self.total_input,
                 source_chunk: Some(self.source_chunk),
-                queue_capacity: None,
                 queue_capacities: None,
                 trace: false,
                 service_model: ServiceModel::Uniform,

@@ -109,8 +109,8 @@ impl Row {
 /// Seconds per call of `f`: the one timing policy behind every time
 /// row. Each result goes through [`black_box`], so the work is not
 /// optimized away. The call count per batch doubles until a batch lasts
-/// [`BATCH_S`]; those sizing batches also warm caches and allocators.
-/// Then enough batches run to span [`SAMPLE_S`], at least two, and the
+/// `BATCH_S`; those sizing batches also warm caches and allocators.
+/// Then enough batches run to span `SAMPLE_S`, at least two, and the
 /// fastest is kept. Noise on a shared host only ever adds time, so the
 /// fastest batch is the least-contaminated estimate.
 pub fn time<R>(mut f: impl FnMut() -> R) -> f64 {

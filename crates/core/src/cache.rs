@@ -164,10 +164,10 @@ pub struct CacheStats {
     pub bound_hits: u64,
     /// Backlog/delay bound values computed.
     pub bound_misses: u64,
-    /// Scalar-keyed canonical shapes (`lb_ref`/`rl_ref`) served from the
-    /// memo table — the admission decision path's fast lane.
+    /// Scalar-keyed rate-latency shapes ([`CurveCache::rl_ref`]) served
+    /// from the memo table — the admission decision path's fast lane.
     pub shape_hits: u64,
-    /// Scalar-keyed canonical shapes constructed and interned.
+    /// Scalar-keyed rate-latency shapes constructed and interned.
     pub shape_misses: u64,
     /// Pipeline cascade prefixes reused by
     /// [`crate::pipeline::Pipeline::build_model_cached`].
@@ -285,7 +285,6 @@ pub struct CurveCache {
     deconv: HashMap<(usize, usize), CurveRef, FxBuildHasher>,
     closure: HashMap<(usize, usize), (CurveRef, bool, usize), FxBuildHasher>,
     pack: HashMap<(Rat, Rat, Rat), CurveRef, FxBuildHasher>,
-    lb: HashMap<(Rat, Rat), CurveRef, FxBuildHasher>,
     rl: HashMap<(Rat, Rat), CurveRef, FxBuildHasher>,
     backlog: HashMap<(usize, usize), Value, FxBuildHasher>,
     delay: HashMap<(usize, usize), Value, FxBuildHasher>,
@@ -359,33 +358,14 @@ impl CurveCache {
         out
     }
 
-    /// Convenience: intern-then-closure on a plain curve.
-    pub fn closure(&mut self, f: &Curve, max_iter: usize) -> Closure {
-        let fr = self.intern(f);
-        self.closure_ref(&fr, max_iter)
-    }
-
-    /// Interned leaky bucket `γ_{r,b}` keyed on the two scalars — the
+    /// Interned rate-latency `β_{R,T}` keyed on the two scalars — the
     /// admission decision path's fast lane. A hit costs one small-key
     /// map probe plus an `Arc` clone: no curve is constructed, hashed,
     /// or allocated, unlike [`CurveCache::intern`], which must hash the
-    /// full breakpoint vector of an already-built curve.
-    pub fn lb_ref(&mut self, rate: Rat, burst: Rat) -> CurveRef {
-        if let Some(r) = self.lb.get(&(rate, burst)) {
-            self.stats.shape_hits += 1;
-            return r.clone();
-        }
-        self.stats.shape_misses += 1;
-        let r = self.intern(&shapes::leaky_bucket(rate, burst));
-        self.lb.insert((rate, burst), r.clone());
-        r
-    }
-
-    /// Interned rate-latency `β_{R,T}` keyed on the two scalars (see
-    /// [`CurveCache::lb_ref`]). This is how the admission engine builds
-    /// suffix service concatenations: `RL(R₁,T₁) ⊗ RL(R₂,T₂) =
-    /// RL(min R, T₁+T₂)` in closed form, skipping the general `⊗`
-    /// strategy grid entirely.
+    /// full breakpoint vector of an already-built curve. This is how
+    /// the admission engine builds suffix service concatenations:
+    /// `RL(R₁,T₁) ⊗ RL(R₂,T₂) = RL(min R, T₁+T₂)` in closed form,
+    /// skipping the general `⊗` strategy grid entirely.
     pub fn rl_ref(&mut self, rate: Rat, latency: Rat) -> CurveRef {
         if let Some(r) = self.rl.get(&(rate, latency)) {
             self.stats.shape_hits += 1;
@@ -525,17 +505,16 @@ mod tests {
     #[test]
     fn shape_fast_lane_interns_and_memoizes() {
         let mut cache = CurveCache::new();
-        let a1 = cache.lb_ref(Rat::int(2), Rat::int(5));
-        let a2 = cache.lb_ref(Rat::int(2), Rat::int(5));
-        assert_eq!(a1, a2);
-        assert_eq!(a1.curve(), &lb(2, 5));
         let b = cache.rl_ref(Rat::int(3), Rat::int(4));
+        let b2 = cache.rl_ref(Rat::int(3), Rat::int(4));
+        assert_eq!(b, b2);
         assert_eq!(b.curve(), &rl(3, 4));
         let s = cache.stats();
-        assert_eq!((s.shape_misses, s.shape_hits), (2, 1));
+        assert_eq!((s.shape_misses, s.shape_hits), (1, 1));
         // The fast lane shares the interner: building the same shape
         // the slow way resolves to the same identity.
-        assert_eq!(cache.intern(&lb(2, 5)).id(), a1.id());
+        assert_eq!(cache.intern(&rl(3, 4)).id(), b.id());
+        let a1 = cache.intern(&lb(2, 5));
 
         // Identity-keyed bounds on the interned handles agree with the
         // direct computation and hit on repetition.

@@ -1,6 +1,5 @@
 //! Piecewise-linear curves and standard network-calculus shapes.
 
-pub mod approx;
 pub mod pwl;
 pub mod shapes;
 

@@ -354,22 +354,6 @@ impl Curve {
         Curve::from_breakpoints_unchecked(bps)
     }
 
-    /// Horizontal scaling `t ↦ f(t / k)` for `k > 0` (time dilation).
-    pub fn scale_x(&self, k: Rat) -> Curve {
-        assert!(k.is_positive(), "scale_x needs k > 0");
-        let bps = self
-            .bps
-            .iter()
-            .map(|bp| Breakpoint {
-                x: bp.x * k,
-                v: bp.v,
-                v_right: bp.v_right,
-                slope: bp.slope / k,
-            })
-            .collect();
-        Curve::from_breakpoints_unchecked(bps)
-    }
-
     /// Vertical shift `f + c` (may make `f(0)` non-zero).
     pub fn shift_up(&self, c: Rat) -> Curve {
         let cv = Value::finite(c);
@@ -1034,8 +1018,6 @@ mod tests {
         let b = rl(4, 2);
         let half = b.scale_y(rat(1, 2));
         assert_eq!(half.eval(Rat::int(4)), Value::from(4));
-        let dil = b.scale_x(Rat::int(2));
-        assert_eq!(dil.eval(Rat::int(8)), Value::from(8)); // latency doubles, rate halves
         let up = b.shift_up(Rat::int(3));
         assert_eq!(up.eval(Rat::ZERO), Value::from(3));
         let right = b.shift_right(Rat::int(1));

@@ -90,27 +90,6 @@ pub fn delta(latency: Rat) -> Curve {
     ])
 }
 
-/// The constant `+∞` curve for `t > 0` (top element of the min-plus
-/// lattice among curves with `f(0) = 0`); equals `δ_0`.
-pub fn top() -> Curve {
-    delta(Rat::ZERO)
-}
-
-/// A multi-bucket (concave piecewise-affine) arrival curve: the minimum
-/// of several leaky buckets. Commonly used to express both a peak rate
-/// and a sustained rate, e.g. `min(P·t + 1, R·t + b)`.
-///
-/// # Panics
-/// Panics if `buckets` is empty.
-pub fn token_buckets(buckets: &[(Rat, Rat)]) -> Curve {
-    assert!(!buckets.is_empty(), "token_buckets needs >= 1 bucket");
-    let mut acc = leaky_bucket(buckets[0].0, buckets[0].1);
-    for &(r, b) in &buckets[1..] {
-        acc = acc.min(&leaky_bucket(r, b));
-    }
-    acc
-}
-
 /// A truncated staircase curve: jumps of `step` at `0, τ, 2τ, …,
 /// (steps−1)·τ`, then continues at the average rate `step/τ`.
 ///
@@ -177,16 +156,6 @@ mod tests {
         let d = delta(Rat::ZERO);
         assert_eq!(d.eval(Rat::ZERO), Value::ZERO);
         assert_eq!(d.eval(rat(1, 1000)), Value::Infinity);
-    }
-
-    #[test]
-    fn token_buckets_concave_min() {
-        // Peak rate 10 with burst 1, sustained rate 2 with burst 9.
-        let c = token_buckets(&[(Rat::int(10), Rat::ONE), (Rat::int(2), Rat::int(9))]);
-        // Crossing at t = 1: 10t+1 = 2t+9.
-        assert_eq!(c.eval(rat(1, 2)), Value::from(6));
-        assert_eq!(c.eval(Rat::int(2)), Value::from(13));
-        assert!(c.is_wide_sense_increasing());
     }
 
     #[test]

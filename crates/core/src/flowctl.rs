@@ -117,17 +117,16 @@ pub struct WindowClosure {
 }
 
 /// Bounds for a backpressured pipeline: the equivalent end-to-end
-/// service curve, the admitted-arrival envelope, and the closed-form
-/// delay/backlog bounds, plus the per-stage (Bouillard) ablation.
+/// service curve and the closed-form delay/backlog bounds, plus the
+/// per-stage (Bouillard) ablation.
 #[derive(Clone, Debug)]
 pub struct FlowCtlModel {
     /// End-to-end closed-loop service `E₀` (admitted arrival → sink),
     /// input-referred. A sound lower service curve.
     pub equiv_service: Curve,
-    /// Arrival envelope of the *admitted* flow `α_eq = min(α, U₀ +
-    /// cap₀)`; equals `α` when queue 0 is unbounded.
-    pub admitted_arrival: Curve,
-    /// Delay bound `h(α_eq, E₀)` for admitted data (admission → sink).
+    /// Delay bound `h(α_eq, E₀)` for admitted data (admission → sink),
+    /// where `α_eq = min(α, U₀ + cap₀)` is the arrival envelope of the
+    /// *admitted* flow (`α` when queue 0 is unbounded).
     pub delay: Value,
     /// Backlog bound `v(α_eq, E₀)` — bytes admitted but not delivered.
     pub backlog: Value,
@@ -482,7 +481,7 @@ pub fn flowctl_model(
     let backlog = ops.backlog(&admitted, &equiv);
 
     let mut per_stage_delay = Vec::with_capacity(n);
-    let mut cascade = admitted.clone();
+    let mut cascade = admitted;
     for (i, f) in per_stage_service.iter().enumerate() {
         per_stage_delay.push(ops.delay(&cascade, f));
         if i + 1 < n {
@@ -493,7 +492,6 @@ pub fn flowctl_model(
 
     FlowCtlModel {
         equiv_service: equiv,
-        admitted_arrival: admitted,
         delay,
         backlog,
         per_stage_delay,

@@ -45,4 +45,4 @@ pub use curve::{Breakpoint, Curve, CurveError};
 pub use fault::FaultModel;
 pub use num::{rat, Rat, Value};
 pub use ops::{min_plus_conv, min_plus_deconv};
-pub use stoch::{StageEnvelope, StochCurve, StochSpec, TailBounds};
+pub use stoch::{StageEnvelope, StochSpec, TailBounds};

@@ -243,14 +243,6 @@ impl Rat {
         self.num < 0
     }
 
-    /// Absolute value.
-    pub fn abs(self) -> Rat {
-        Rat {
-            num: self.num.abs(),
-            den: self.den,
-        }
-    }
-
     /// Multiplicative inverse.
     ///
     /// # Panics

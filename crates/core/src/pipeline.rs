@@ -512,7 +512,6 @@ impl Pipeline {
         let max_service = shapes::constant_rate(r_bottleneck_max);
 
         PipelineModel {
-            pipeline_name: self.name.clone(),
             arrival,
             service: service_aggregate,
             service_concat,
@@ -655,7 +654,6 @@ fn stage_step(
         rate_avg: r_avg,
         rate_max: r_max,
         job_in_normalized: b_in,
-        collection_latency: collect,
         arrival: st.cascade_arrival.clone(),
         service: beta,
         max_service: gamma,
@@ -881,9 +879,6 @@ pub struct NodeModel {
     pub rate_max: Rat,
     /// Input-referred job size `b_n`.
     pub job_in_normalized: Rat,
-    /// Collection time `b_n / R_{α,n−1}` charged by the §3 recurrence
-    /// (zero when the upstream burst already covers the job).
-    pub collection_latency: Rat,
     /// Arrival curve entering this node (cascaded output bounds).
     pub arrival: Curve,
     /// Packetized service curve `β'_n`.
@@ -901,8 +896,6 @@ pub struct NodeModel {
 /// The assembled network-calculus model of a pipeline.
 #[derive(Clone, Debug)]
 pub struct PipelineModel {
-    /// Name copied from the pipeline.
-    pub pipeline_name: String,
     /// System arrival curve `α`.
     pub arrival: Curve,
     /// Aggregate service curve `β` (bottleneck rate, recurrence latency) —
@@ -1268,7 +1261,6 @@ mod tests {
         p.nodes[0].latency = Rat::ONE;
         let m = p.build_model();
         // collect = b_n / R_α = 8 / 4 = 2, plus T = 1.
-        assert_eq!(m.per_node[0].collection_latency, Rat::int(2));
         assert_eq!(m.total_latency, Rat::int(3));
     }
 

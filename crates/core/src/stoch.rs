@@ -7,18 +7,14 @@
 //! mass on which it may be exceeded, composed across stages by the
 //! union bound.
 //!
-//! Two layers:
-//!
-//! * [`StochCurve`] — the curve-level algebra: a deterministic
-//!   piecewise-linear curve plus an exceedance budget ε. Convolution
-//!   adds budgets; delay/backlog bounds carry the summed budget. This
-//!   is the textbook algebra and is used directly by the property
-//!   suite.
-//! * [`Pipeline::tail_bounds`] — the pipeline-level service: given a
-//!   finite-run description ([`StochSpec`]: per-stage job counts and
-//!   per-stage fault-occurrence probabilities) and a violation budget
-//!   ε, produce the tightest closed-form `x` with `P(delay > x) ≤ ε`
-//!   (and likewise backlog) that this algebra can certify.
+//! [`Pipeline::tail_bounds`] is the service: given a finite-run
+//! description ([`StochSpec`]: per-stage job counts and per-stage
+//! fault-occurrence probabilities) and a violation budget ε, it
+//! produces the tightest closed-form `x` with `P(delay > x) ≤ ε` (and
+//! likewise backlog) that the allocation ladder below can certify.
+//! Each stage's rewrite is a [`StageEnvelope`] that carries the mass
+//! it charges; the union bound is the sum of those charges, and the
+//! ladder keeps every candidate's sum within ε.
 //!
 //! ## The per-stage envelope (why this is exact, not asymptotic)
 //!
@@ -66,74 +62,8 @@
 //! framing (arXiv:2010.09263) motivates the per-stage-sum ablation
 //! also reported in [`TailBounds`].
 
-use crate::bounds;
-use crate::curve::Curve;
 use crate::num::{Rat, Value};
-use crate::ops::min_plus_conv;
 use crate::pipeline::{ModelCache, Pipeline, PipelineModel, StageRates};
-
-/// A curve paired with the probability mass on which it may be
-/// violated: the statement "`curve` holds except with probability
-/// ≤ `eps`" (an arrival envelope exceeded, or a service guarantee
-/// missed).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StochCurve {
-    /// The deterministic curve that holds outside the exception event.
-    pub curve: Curve,
-    /// Exceedance probability budget ε ∈ [0, 1].
-    pub eps: Rat,
-}
-
-impl StochCurve {
-    /// Pair a curve with an exceedance budget.
-    ///
-    /// # Panics
-    /// Panics unless `0 ≤ eps ≤ 1`.
-    pub fn new(curve: Curve, eps: Rat) -> StochCurve {
-        assert!(
-            !eps.is_negative() && eps <= Rat::ONE,
-            "exceedance budget must be a probability"
-        );
-        StochCurve { curve, eps }
-    }
-
-    /// The degenerate (ε = 0) embedding of a deterministic curve.
-    pub fn deterministic(curve: Curve) -> StochCurve {
-        StochCurve {
-            curve,
-            eps: Rat::ZERO,
-        }
-    }
-
-    /// Stochastic service concatenation: `β₁ ⊗ β₂` on the curves, the
-    /// union bound `ε₁ + ε₂` on the budgets. If each stage misses its
-    /// guarantee with probability ≤ εᵢ, the concatenation misses the
-    /// convolved guarantee with probability at most the sum.
-    pub fn conv(&self, other: &StochCurve) -> StochCurve {
-        StochCurve {
-            curve: min_plus_conv(&self.curve, &other.curve),
-            eps: self.eps + other.eps,
-        }
-    }
-
-    /// Tail delay bound: `(x, ε)` with `P(delay > x) ≤ ε` for an
-    /// `arrival`-constrained flow through a `service`-guaranteed
-    /// system, both holding outside their own ε events.
-    pub fn delay_tail(arrival: &StochCurve, service: &StochCurve) -> (Value, Rat) {
-        (
-            bounds::delay_bound(&arrival.curve, &service.curve),
-            arrival.eps + service.eps,
-        )
-    }
-
-    /// Tail backlog bound, same contract as [`StochCurve::delay_tail`].
-    pub fn backlog_tail(arrival: &StochCurve, service: &StochCurve) -> (Value, Rat) {
-        (
-            bounds::backlog_bound(&arrival.curve, &service.curve),
-            arrival.eps + service.eps,
-        )
-    }
-}
 
 /// Description of one finite run of a pipeline, for the union-bound
 /// accounting: how many jobs each stage serves, and the occurrence
@@ -345,20 +275,6 @@ fn allocations(p: &Pipeline, spec: &StochSpec, eps: Rat) -> Vec<Vec<StageEnvelop
     out
 }
 
-/// Smallest budget in `profile` whose delay bound is ≤ `x`, or `None`
-/// when no listed budget certifies `x`. Because larger sets of
-/// feasible budgets can only shrink as `x` decreases, the result is
-/// monotone non-increasing in `x` regardless of the profile's own
-/// shape — the inverse view "`ε(x)` is monotone non-increasing" of the
-/// tail bound.
-pub fn eps_for_delay(profile: &[TailBounds], x: Value) -> Option<Rat> {
-    profile
-        .iter()
-        .filter(|tb| tb.delay <= x)
-        .map(|tb| tb.eps)
-        .min()
-}
-
 impl Pipeline {
     /// Closed-form tail bounds `P(delay > x) ≤ ε`, `P(backlog > x) ≤ ε`
     /// for one finite run described by `spec`, at violation budget
@@ -387,24 +303,6 @@ impl Pipeline {
         cache: &mut ModelCache,
     ) -> TailBounds {
         self.tail_bounds_with(spec, eps, &mut |p, envs| p.stoch_model_cached(envs, cache))
-    }
-
-    /// [`Pipeline::tail_bounds`] over a ladder of budgets (one entry
-    /// per element of `eps_grid`, in order), sharing one cache.
-    ///
-    /// # Panics
-    /// Panics if the pipeline or spec is invalid or any budget is
-    /// outside `[0, 1)`.
-    pub fn tail_profile(
-        &self,
-        spec: &StochSpec,
-        eps_grid: &[Rat],
-        cache: &mut ModelCache,
-    ) -> Vec<TailBounds> {
-        eps_grid
-            .iter()
-            .map(|&eps| self.tail_bounds_cached(spec, eps, cache))
-            .collect()
     }
 
     fn tail_bounds_with(
@@ -441,10 +339,10 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::curve::shapes;
     use crate::fault::FaultModel;
     use crate::num::rat;
     use crate::pipeline::{Node, NodeKind, Source};
+    use proptest::prelude::*;
 
     fn spread_node(name: &str, min: i64, max: i64, job: i64) -> Node {
         Node::new(
@@ -554,11 +452,9 @@ mod tests {
         }
         // Rerunning the whole profile is all prefix hits.
         let before = cache.stats().prefix_misses;
-        let _ = p.tail_profile(
-            &spec,
-            &[Rat::ZERO, rat(1, 1000), rat(1, 100), rat(1, 10)],
-            &mut cache,
-        );
+        for eps in [Rat::ZERO, rat(1, 1000), rat(1, 100), rat(1, 10)] {
+            let _ = p.tail_bounds_cached(&spec, eps, &mut cache);
+        }
         assert_eq!(cache.stats().prefix_misses, before);
     }
 
@@ -569,45 +465,6 @@ mod tests {
         for eps in [Rat::ZERO, rat(1, 100)] {
             let tb = p.tail_bounds(&spec, eps);
             assert!(tb.delay_stage_sum >= tb.delay);
-        }
-    }
-
-    #[test]
-    fn stoch_curve_algebra_composes_by_union_bound() {
-        let a = StochCurve::new(shapes::leaky_bucket(Rat::int(2), Rat::int(5)), rat(1, 100));
-        let s1 = StochCurve::new(shapes::rate_latency(Rat::int(3), Rat::int(4)), rat(1, 50));
-        let s2 = StochCurve::deterministic(shapes::rate_latency(Rat::int(5), Rat::ONE));
-        let c12 = s1.conv(&s2);
-        let c21 = s2.conv(&s1);
-        assert_eq!(c12, c21); // order-invariant: ⊗ commutes, + commutes
-        assert_eq!(c12.eps, rat(1, 50));
-        let (d, e) = StochCurve::delay_tail(&a, &c12);
-        assert!(d.is_finite());
-        assert_eq!(e, rat(1, 100) + rat(1, 50));
-        let (b, e2) = StochCurve::backlog_tail(&a, &c12);
-        assert!(b.is_finite());
-        assert_eq!(e2, e);
-    }
-
-    #[test]
-    fn eps_for_delay_is_monotone_in_x() {
-        let p = two_stage();
-        let spec = StochSpec::for_run(&p, 64);
-        let mut cache = ModelCache::new();
-        let grid = [Rat::ZERO, rat(1, 1000), rat(1, 100), rat(1, 10)];
-        let profile = p.tail_profile(&spec, &grid, &mut cache);
-        let xs: Vec<Value> = profile.iter().map(|tb| tb.delay).collect();
-        for (i, &x1) in xs.iter().enumerate() {
-            for &x2 in &xs[i..] {
-                let (lo, hi) = if x1 <= x2 { (x1, x2) } else { (x2, x1) };
-                let e_lo = eps_for_delay(&profile, lo);
-                let e_hi = eps_for_delay(&profile, hi);
-                match (e_lo, e_hi) {
-                    (Some(a), Some(b)) => assert!(a >= b),
-                    (None, Some(_)) | (None, None) => {}
-                    (Some(_), None) => panic!("feasible at a smaller x but not a larger one"),
-                }
-            }
         }
     }
 
@@ -632,5 +489,79 @@ mod tests {
         p.nodes[1].job_out = Rat::int(2);
         let spec = StochSpec::for_run(&p, 64);
         assert_eq!(spec.jobs, vec![8, 8]);
+    }
+
+    /// Strategy: a 1–4 stage pipeline, its run spec and a budget. Each
+    /// stage has a random rate spread (none, so ineligible, when
+    /// `spread` is 0) and job count, and carries a fault whose
+    /// occurrence probability `1/(8k)` is drawn, or which stays
+    /// deterministic (`k = 0`).
+    fn arb_ladder_case() -> impl Strategy<Value = (Pipeline, StochSpec, Rat)> {
+        let stage = (1i64..=6, 0i64..=4, 1i128..=64, 0i128..=4);
+        (proptest::collection::vec(stage, 1..=4), 0i128..1000).prop_map(|(stages, e)| {
+            let nodes = stages
+                .iter()
+                .map(|&(min, spread, _, _)| {
+                    let mut n = spread_node("s", min, min + spread, 8);
+                    n.fault = Some(FaultModel::RateDerate { delta: rat(1, 4) });
+                    n
+                })
+                .collect();
+            let source = Source {
+                rate: Rat::ONE,
+                burst: Rat::int(8),
+            };
+            let spec = StochSpec {
+                jobs: stages.iter().map(|s| s.2).collect(),
+                fault_prob: stages
+                    .iter()
+                    .map(|s| (s.3 > 0).then(|| rat(1, 8 * s.3)))
+                    .collect(),
+            };
+            (Pipeline::new("ladder", source, nodes), spec, rat(e, 1000))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The union bound where `tail_bounds` charges it: the ladder
+        /// opens with the deterministic allocation, no candidate
+        /// charges more than ε in total, every rewritten rate stays
+        /// within its stage's `[min, max]`, and candidate `k + 1`
+        /// clears exactly the `k` cheapest probabilistic faults.
+        #[test]
+        fn allocations_charge_at_most_eps((p, spec, eps) in arb_ladder_case()) {
+            let ladder = allocations(&p, &spec, eps);
+            let det: Vec<StageEnvelope> = p
+                .nodes
+                .iter()
+                .map(|n| StageEnvelope::deterministic(&n.rates))
+                .collect();
+            prop_assert_eq!(&ladder[0], &det);
+            let mut faults: Vec<(Rat, usize)> = spec
+                .fault_prob
+                .iter()
+                .enumerate()
+                .filter_map(|(i, q)| q.map(|q| (q, i)))
+                .collect();
+            faults.sort();
+            for (c, envs) in ladder.iter().enumerate() {
+                let charged = envs.iter().fold(Rat::ZERO, |acc, e| acc + e.eps);
+                prop_assert!(charged <= eps, "candidate {} charges {} > {}", c, charged, eps);
+                for (e, n) in envs.iter().zip(&p.nodes) {
+                    prop_assert!(n.rates.min <= e.rate && e.rate <= n.rates.max);
+                }
+                let cleared: Vec<usize> = (0..envs.len())
+                    .filter(|&i| envs[i].assume_no_fault)
+                    .collect();
+                let mut cheapest: Vec<usize> = faults[..c.saturating_sub(1)]
+                    .iter()
+                    .map(|&(_, i)| i)
+                    .collect();
+                cheapest.sort_unstable();
+                prop_assert_eq!(cleared, cheapest);
+            }
+        }
     }
 }

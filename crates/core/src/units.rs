@@ -34,11 +34,6 @@ pub fn gib_per_s(x: f64) -> Rat {
     Rat::from_f64(x) * Rat::int(GIB)
 }
 
-/// `x` seconds.
-pub fn secs(x: f64) -> Rat {
-    Rat::from_f64(x)
-}
-
 /// `x` milliseconds in seconds.
 pub fn millis(x: f64) -> Rat {
     Rat::from_f64(x) / Rat::int(1_000)

@@ -6,7 +6,6 @@
 
 use nc_core::curve::{shapes, Curve};
 use nc_core::num::{rat, Rat, Value};
-use nc_core::ops::maxplus::{max_plus_conv, max_plus_conv_at};
 use nc_core::ops::{conv_at, deconv_at, min_plus_conv, min_plus_deconv};
 use nc_core::ops::{horizontal_deviation, vertical_deviation};
 use nc_core::ops::{min_plus_conv_general, min_plus_deconv_general, subadditive_closure};
@@ -221,36 +220,6 @@ proptest! {
         for t in sample_ts() {
             prop_assert!(a1.eval(t) <= a2.eval(t));
             prop_assert!(s1.eval(t) >= s2.eval(t));
-        }
-    }
-
-    #[test]
-    fn max_plus_conv_commutative_and_dominating(
-        f in arb_zero_curve(),
-        g in arb_zero_curve(),
-    ) {
-        let fg = max_plus_conv(&f, &g);
-        prop_assert_eq!(&fg, &max_plus_conv(&g, &f));
-        for t in sample_ts() {
-            let exact = max_plus_conv_at(&f, &g, t);
-            prop_assert_eq!(fg.eval(t), exact, "t = {:?}", t);
-            // The sup dominates every sampled split and both operands
-            // (g(0) = f(0) = 0).
-            prop_assert!(exact >= f.eval(t));
-            prop_assert!(exact >= g.eval(t));
-            for k in 0..=16 {
-                let s = t * rat(k, 16);
-                prop_assert!(exact >= f.eval(s) + g.eval(t - s));
-            }
-        }
-    }
-
-    #[test]
-    fn max_plus_conv_dominates_min_plus(f in arb_zero_curve(), g in arb_zero_curve()) {
-        let hi = max_plus_conv(&f, &g);
-        let lo = min_plus_conv(&f, &g);
-        for t in sample_ts() {
-            prop_assert!(hi.eval(t) >= lo.eval(t));
         }
     }
 

@@ -27,7 +27,6 @@
 #[derive(Clone, Debug)]
 pub struct SlotAgenda<T> {
     slots: Vec<Option<(T, u64)>>,
-    armed: usize,
     seq: u64,
 }
 
@@ -36,7 +35,6 @@ impl<T> Default for SlotAgenda<T> {
     fn default() -> SlotAgenda<T> {
         SlotAgenda {
             slots: Vec::new(),
-            armed: 0,
             seq: 0,
         }
     }
@@ -47,7 +45,6 @@ impl<T: Copy + Ord> SlotAgenda<T> {
     pub fn new(n: usize) -> SlotAgenda<T> {
         SlotAgenda {
             slots: vec![None; n],
-            armed: 0,
             seq: 0,
         }
     }
@@ -57,23 +54,7 @@ impl<T: Copy + Ord> SlotAgenda<T> {
     pub fn reset(&mut self, n: usize) {
         self.slots.clear();
         self.slots.resize(n, None);
-        self.armed = 0;
         self.seq = 0;
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// `true` when no slot is armed.
-    pub fn is_empty(&self) -> bool {
-        self.armed == 0
-    }
-
-    /// Number of armed slots.
-    pub fn pending(&self) -> usize {
-        self.armed
     }
 
     /// Sequence number of `slot`'s pending event, if armed.
@@ -96,15 +77,6 @@ impl<T: Copy + Ord> SlotAgenda<T> {
         assert!(self.slots[slot].is_none(), "slot {slot} already armed");
         self.slots[slot] = Some((t, self.seq));
         self.seq += 1;
-        self.armed += 1;
-    }
-
-    /// The earliest pending `(slot, time)` without removing it.
-    pub fn peek(&self) -> Option<(usize, T)> {
-        self.min_slot().map(|i| {
-            let (t, _) = self.slots[i].expect("armed");
-            (i, t)
-        })
     }
 
     /// Remove and return the earliest pending `(slot, time)` — ties
@@ -113,7 +85,6 @@ impl<T: Copy + Ord> SlotAgenda<T> {
     pub fn pop(&mut self) -> Option<(usize, T)> {
         let i = self.min_slot()?;
         let (t, _) = self.slots[i].take().expect("armed");
-        self.armed -= 1;
         Some((i, t))
     }
 
@@ -152,17 +123,10 @@ mod tests {
         a.arm(0, 30);
         a.arm(1, 10);
         a.arm(2, 20);
-        assert_eq!(a.pending(), 3);
-        // `peek` reports the earliest without removing it.
-        assert_eq!(a.peek(), Some((1, 10)));
-        assert_eq!(a.pending(), 3);
         assert_eq!(a.pop(), Some((1, 10)));
-        assert_eq!(a.peek(), Some((2, 20)));
         assert_eq!(a.pop(), Some((2, 20)));
         assert_eq!(a.pop(), Some((0, 30)));
         assert_eq!(a.pop(), None);
-        assert_eq!(a.peek(), None);
-        assert!(a.is_empty());
     }
 
     #[test]
@@ -212,8 +176,7 @@ mod tests {
         let mut a: SlotAgenda<u64> = SlotAgenda::new(2);
         a.arm(0, 1);
         a.reset(4);
-        assert_eq!(a.len(), 4);
-        assert!(a.is_empty());
+        assert_eq!(a.pop(), None);
         a.arm(3, 2);
         assert_eq!(a.seq_of(3), Some(0));
     }

@@ -1,6 +1,6 @@
 //! The discrete-event simulation kernel.
 //!
-//! Functionally equivalent to the SimPy core the paper uses [29]: a
+//! Functionally equivalent to the SimPy core the paper uses \[29\]: a
 //! time-ordered event calendar with deterministic FIFO tie-breaking,
 //! driven to completion. Events are boxed closures over the user's
 //! world state `S`; higher-level process abstractions (the streaming

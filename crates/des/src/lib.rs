@@ -1,7 +1,7 @@
 //! # nc-des — a discrete-event simulation engine
 //!
 //! A SimPy-equivalent kernel (the paper validates its network-calculus
-//! models against a SimPy simulator [29]): a deterministic event
+//! models against a SimPy simulator \[29\]): a deterministic event
 //! calendar with FIFO tie-breaking, seconds-based simulation time,
 //! seeded distributions, byte queues with occupancy accounting, and
 //! the statistics collectors the paper's evaluation reads out (peak

@@ -21,7 +21,6 @@ use crate::time::Time;
 pub struct ByteQueue {
     capacity: Option<u64>,
     level: u64,
-    total_in: u64,
     total_out: u64,
     occupancy: TimeWeighted,
 }
@@ -32,7 +31,6 @@ impl ByteQueue {
         ByteQueue {
             capacity: None,
             level: 0,
-            total_in: 0,
             total_out: 0,
             occupancy: TimeWeighted::new(t0, 0.0),
         }
@@ -47,7 +45,6 @@ impl ByteQueue {
         ByteQueue {
             capacity: Some(capacity),
             level: 0,
-            total_in: 0,
             total_out: 0,
             occupancy: TimeWeighted::new(t0, 0.0),
         }
@@ -56,11 +53,6 @@ impl ByteQueue {
     /// Current byte level.
     pub fn level(&self) -> u64 {
         self.level
-    }
-
-    /// Capacity, if bounded.
-    pub fn capacity(&self) -> Option<u64> {
-        self.capacity
     }
 
     /// Free space (`u64::MAX` when unbounded).
@@ -89,7 +81,6 @@ impl ByteQueue {
     pub fn put(&mut self, t: Time, amount: u64) {
         assert!(self.can_put(amount), "ByteQueue overflow");
         self.level += amount;
-        self.total_in += amount;
         self.occupancy.set(t, self.level as f64);
     }
 
@@ -103,11 +94,6 @@ impl ByteQueue {
         self.level -= amount;
         self.total_out += amount;
         self.occupancy.set(t, self.level as f64);
-    }
-
-    /// Total bytes ever deposited.
-    pub fn total_in(&self) -> u64 {
-        self.total_in
     }
 
     /// Total bytes ever withdrawn.
@@ -142,7 +128,6 @@ mod tests {
         assert!(!q.can_get(61));
         q.get(Time::secs(2.0), 20);
         assert_eq!(q.level(), 40);
-        assert_eq!(q.total_in(), 60);
         assert_eq!(q.total_out(), 20);
         assert_eq!(q.peak(), 60.0);
     }

@@ -86,36 +86,6 @@ impl Dist {
             Dist::Empirical(vs) => vs[rng.gen_range(0..vs.len())],
         }
     }
-
-    /// Exact mean of the distribution.
-    pub fn mean(&self) -> f64 {
-        match self {
-            Dist::Constant(v) => *v,
-            Dist::Uniform { lo, hi } => 0.5 * (lo + hi),
-            Dist::Exponential { mean } => *mean,
-            Dist::Empirical(vs) => vs.iter().sum::<f64>() / vs.len() as f64,
-        }
-    }
-
-    /// Smallest possible sample.
-    pub fn min(&self) -> f64 {
-        match self {
-            Dist::Constant(v) => *v,
-            Dist::Uniform { lo, .. } => *lo,
-            Dist::Exponential { .. } => 0.0,
-            Dist::Empirical(vs) => vs.iter().copied().fold(f64::INFINITY, f64::min),
-        }
-    }
-
-    /// Largest possible sample (`+∞` for unbounded support).
-    pub fn max(&self) -> f64 {
-        match self {
-            Dist::Constant(v) => *v,
-            Dist::Uniform { hi, .. } => *hi,
-            Dist::Exponential { .. } => f64::INFINITY,
-            Dist::Empirical(vs) => vs.iter().copied().fold(0.0, f64::max),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -172,9 +142,6 @@ mod tests {
             let x = e.sample(&mut r);
             assert!(x == 1.0 || x == 2.0 || x == 4.0);
         }
-        assert!((e.mean() - 7.0 / 3.0).abs() < 1e-12);
-        assert_eq!(e.min(), 1.0);
-        assert_eq!(e.max(), 4.0);
     }
 
     #[test]

@@ -10,13 +10,12 @@ use serde::Serialize;
 
 use crate::time::Time;
 
-/// Tally of independent observations: count/min/max/mean/variance and
-/// quantiles (samples retained).
+/// Tally of independent observations: min/max/mean over the retained
+/// samples.
 #[derive(Clone, Debug, Default, Serialize)]
 pub struct Tally {
     samples: Vec<f64>,
     sum: f64,
-    sum_sq: f64,
 }
 
 impl Tally {
@@ -30,12 +29,6 @@ impl Tally {
         debug_assert!(x.is_finite());
         self.samples.push(x);
         self.sum += x;
-        self.sum_sq += x * x;
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> usize {
-        self.samples.len()
     }
 
     /// Smallest observation (`None` when empty).
@@ -56,35 +49,13 @@ impl Tally {
             Some(self.sum / self.samples.len() as f64)
         }
     }
-
-    /// Unbiased sample variance.
-    pub fn variance(&self) -> Option<f64> {
-        let n = self.samples.len();
-        if n < 2 {
-            return None;
-        }
-        let mean = self.sum / n as f64;
-        Some((self.sum_sq - n as f64 * mean * mean) / (n as f64 - 1.0))
-    }
-
-    /// Empirical quantile `q ∈ [0, 1]` (nearest-rank).
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-        if self.samples.is_empty() {
-            return None;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(f64::total_cmp);
-        let idx = ((q * (sorted.len() - 1) as f64).round() as usize).min(sorted.len() - 1);
-        Some(sorted[idx])
-    }
 }
 
-/// Constant-memory observation tally: count, min, max, mean, variance —
-/// no samples retained.
+/// Constant-memory observation tally: count, min, max, mean — no
+/// samples retained.
 ///
-/// Drop-in for [`Tally`] where quantiles are not needed: `record` keeps
-/// the identical running `sum`/`sum_sq` accumulation order, and the
+/// Drop-in for [`Tally`] without the retained samples: `record` keeps
+/// the identical running `sum` accumulation order, and the
 /// running `min`/`max` equal `Tally`'s insertion-order `f64::min`/`max`
 /// reductions bit for bit, so swapping a `Tally` for a
 /// `StreamingTally` does not perturb reported statistics. This is what
@@ -94,7 +65,6 @@ impl Tally {
 pub struct StreamingTally {
     count: u64,
     sum: f64,
-    sum_sq: f64,
     min: f64,
     max: f64,
 }
@@ -111,7 +81,6 @@ impl StreamingTally {
         StreamingTally {
             count: 0,
             sum: 0.0,
-            sum_sq: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -122,14 +91,8 @@ impl StreamingTally {
         debug_assert!(x.is_finite());
         self.count += 1;
         self.sum += x;
-        self.sum_sq += x * x;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
     }
 
     /// Smallest observation (`None` when empty).
@@ -142,24 +105,9 @@ impl StreamingTally {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
     /// Sample mean.
     pub fn mean(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-
-    /// Unbiased sample variance.
-    pub fn variance(&self) -> Option<f64> {
-        if self.count < 2 {
-            return None;
-        }
-        let n = self.count as f64;
-        let mean = self.sum / n;
-        Some((self.sum_sq - n * mean * mean) / (n - 1.0))
     }
 }
 
@@ -204,11 +152,6 @@ impl TimeWeighted {
         self.set(t, next);
     }
 
-    /// Current level.
-    pub fn level(&self) -> f64 {
-        self.level
-    }
-
     /// Running maximum level.
     pub fn max(&self) -> f64 {
         self.max
@@ -236,16 +179,9 @@ mod tests {
         for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
             t.record(x);
         }
-        assert_eq!(t.count(), 8);
         assert_eq!(t.min(), Some(2.0));
         assert_eq!(t.max(), Some(9.0));
         assert_eq!(t.mean(), Some(5.0));
-        // Known dataset: population variance 4 → sample variance 32/7.
-        assert!((t.variance().unwrap() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(t.quantile(0.0), Some(2.0));
-        assert_eq!(t.quantile(1.0), Some(9.0));
-        // Nearest-rank: index round(0.5 · 7) = 4 → the fifth sample.
-        assert_eq!(t.quantile(0.5), Some(5.0));
     }
 
     #[test]
@@ -253,8 +189,6 @@ mod tests {
         let t = Tally::new();
         assert_eq!(t.mean(), None);
         assert_eq!(t.min(), None);
-        assert_eq!(t.quantile(0.5), None);
-        assert_eq!(t.variance(), None);
     }
 
     #[test]
@@ -266,21 +200,17 @@ mod tests {
             a.record(x);
             b.record(x);
         }
-        assert_eq!(b.count(), xs.len() as u64);
         assert_eq!(a.min(), b.min());
         assert_eq!(a.max(), b.max());
         assert_eq!(a.mean(), b.mean());
-        assert_eq!(a.variance(), b.variance());
     }
 
     #[test]
     fn streaming_tally_empty() {
         let t = StreamingTally::new();
-        assert_eq!(t.count(), 0);
         assert_eq!(t.min(), None);
         assert_eq!(t.max(), None);
         assert_eq!(t.mean(), None);
-        assert_eq!(t.variance(), None);
     }
 
     #[test]
@@ -292,6 +222,5 @@ mod tests {
                                        // Integral: 0·1 + 10·2 + 4·1 = 24; over 5 s → 4.8.
         assert!((tw.time_avg(Time::secs(5.0)) - 24.0 / 5.0).abs() < 1e-12);
         assert_eq!(tw.max(), 10.0);
-        assert_eq!(tw.level(), 0.0);
     }
 }

@@ -27,16 +27,6 @@ impl Time {
         Time(s)
     }
 
-    /// A time `ms` milliseconds after the epoch.
-    pub fn millis(ms: f64) -> Time {
-        Time::secs(ms * 1e-3)
-    }
-
-    /// A time `us` microseconds after the epoch.
-    pub fn micros(us: f64) -> Time {
-        Time::secs(us * 1e-6)
-    }
-
     /// Seconds since the epoch.
     pub fn as_secs(self) -> f64 {
         self.0
@@ -58,16 +48,6 @@ impl Span {
     pub fn secs(s: f64) -> Span {
         assert!(s.is_finite() && s >= 0.0, "invalid time span {s}");
         Span(s)
-    }
-
-    /// A span of `ms` milliseconds.
-    pub fn millis(ms: f64) -> Span {
-        Span::secs(ms * 1e-3)
-    }
-
-    /// A span of `us` microseconds.
-    pub fn micros(us: f64) -> Span {
-        Span::secs(us * 1e-6)
     }
 
     /// Seconds in the span.
@@ -132,9 +112,7 @@ mod tests {
     #[test]
     fn construction_and_accessors() {
         assert_eq!(Time::secs(1.5).as_secs(), 1.5);
-        assert_eq!(Time::millis(2.0).as_secs(), 0.002);
-        assert_eq!(Time::micros(3.0).as_secs(), 3.0e-6);
-        assert_eq!(Span::millis(1.0).as_secs(), 1e-3);
+        assert_eq!(Span::secs(1e-3).as_secs(), 1e-3);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # nc-queueing — queueing-theory baselines
 //!
 //! The models the paper compares its network-calculus approach against:
-//! M/M/1 (the baseline of Faber et al. [12]), M/G/1 via
+//! M/M/1 (the baseline of Faber et al. \[12\]), M/G/1 via
 //! Pollaczek–Khinchine (including the uniform-service stages of the
 //! simulator), and the tandem-network roofline flow analysis that
 //! produces the "queueing theory prediction" rows of Tables 1 and 3.
@@ -17,7 +17,6 @@
 //! let t = analyze_tandem(
 //!     100.0,
 //!     &[TandemStage { name: "slow".into(), rate: 80.0 }],
-//!     10.0,
 //! ).unwrap();
 //! assert_eq!(t.roofline, 80.0);
 //! ```

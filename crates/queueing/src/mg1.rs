@@ -16,11 +16,11 @@ use crate::mm1::QueueError;
 pub struct Mg1 {
     /// Arrival rate λ.
     pub lambda: f64,
-    /// Mean service time E[S].
+    /// Mean service time `E[S]`.
     pub mean_service: f64,
     /// Squared coefficient of variation `c² = Var[S]/E[S]²`.
     pub scv: f64,
-    /// Utilization ρ = λ·E[S].
+    /// Utilization `ρ = λ·E[S]`.
     pub rho: f64,
     /// Mean number in system.
     pub l: f64,

@@ -1,7 +1,7 @@
 //! The M/M/1 queue: Poisson arrivals, exponential service, one server.
 //!
 //! This is the building block of the baseline model the paper compares
-//! against (Faber et al. [12] use M/M/1 queueing networks): it yields
+//! against (Faber et al. \[12\] use M/M/1 queueing networks): it yields
 //! the steady-state mean flow quantities but — as the paper argues in
 //! §1 — no worst-case bounds, no data-bundling effects, and optimistic
 //! throughput when stages are not Markovian.
@@ -71,27 +71,6 @@ impl Mm1 {
             wq: rho / (mu - lambda),
         })
     }
-
-    /// Probability of exactly `n` customers in the system:
-    /// `p_n = (1−ρ)ρⁿ`.
-    pub fn p_n(&self, n: u32) -> f64 {
-        (1.0 - self.rho) * self.rho.powi(n as i32)
-    }
-
-    /// Probability that the system holds more than `n` customers:
-    /// `P(N > n) = ρ^{n+1}` — the M/M/1 stand-in for a buffer-overflow
-    /// estimate (contrast with the hard backlog bound of network
-    /// calculus).
-    pub fn p_more_than(&self, n: u32) -> f64 {
-        self.rho.powi(n as i32 + 1)
-    }
-
-    /// `q`-quantile of the sojourn-time distribution
-    /// (exponential with rate µ−λ): `-ln(1−q)·W`.
-    pub fn sojourn_quantile(&self, q: f64) -> f64 {
-        assert!((0.0..1.0).contains(&q));
-        -(1.0 - q).ln() * self.w
-    }
 }
 
 #[cfg(test)]
@@ -124,21 +103,5 @@ mod tests {
             Mm1::new(1.0, f64::NAN).unwrap_err(),
             QueueError::BadParameters
         );
-    }
-
-    #[test]
-    fn distribution_sums_to_one() {
-        let q = Mm1::new(2.0, 5.0).unwrap();
-        let total: f64 = (0..200).map(|n| q.p_n(n)).sum();
-        assert!((total - 1.0).abs() < 1e-12);
-        assert!((q.p_more_than(0) - q.rho).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sojourn_quantiles_increase() {
-        let q = Mm1::new(2.0, 5.0).unwrap();
-        assert!(q.sojourn_quantile(0.5) < q.sojourn_quantile(0.99));
-        // Median of Exp(3) = ln(2)/3.
-        assert!((q.sojourn_quantile(0.5) - 2f64.ln() / 3.0).abs() < 1e-12);
     }
 }

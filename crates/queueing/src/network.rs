@@ -1,19 +1,19 @@
 //! Tandem queueing networks and the roofline flow analysis of
-//! Faber et al. [12] — the "queueing theory prediction" rows of the
+//! Faber et al. \[12\] — the "queueing theory prediction" rows of the
 //! paper's Tables 1 and 3.
 //!
 //! The baseline treats each stage as an M/M/1 queue fed by the pipeline
 //! flow (Jackson's theorem makes the tandem decomposition exact for
 //! Markovian stages), with every rate normalized to input-referred
 //! volumes. Its throughput prediction is the roofline: the smallest
-//! normalized average service rate. The paper observes this is
-//! optimistic — the measured BLAST deployment ran ~30% below the
-//! roofline — which is exactly the gap the network-calculus bounds
-//! close.
+//! normalized average service rate (per-stage M/M/1 metrics are
+//! [`crate::Mm1`]'s). The paper observes this is optimistic — the
+//! measured BLAST deployment ran ~30% below the roofline — which is
+//! exactly the gap the network-calculus bounds close.
 
 use serde::Serialize;
 
-use crate::mm1::{Mm1, QueueError};
+use crate::mm1::QueueError;
 
 /// One stage of the tandem model: a name plus the *normalized* average
 /// service rate (input-referred bytes per second).
@@ -25,7 +25,7 @@ pub struct TandemStage {
     pub rate: f64,
 }
 
-/// Flow analysis of a tandem of stages.
+/// Roofline flow analysis of a tandem of stages.
 #[derive(Clone, Debug, Serialize)]
 pub struct TandemAnalysis {
     /// Roofline throughput: `min(source rate, min stage rate)` — the
@@ -33,39 +33,20 @@ pub struct TandemAnalysis {
     pub roofline: f64,
     /// Name of the bottleneck stage (or `"source"`).
     pub bottleneck: String,
-    /// Per-stage utilization at the operating throughput.
-    pub utilization: Vec<(String, f64)>,
-    /// Jackson/M/M/1 per-stage metrics at a sustainable operating
-    /// point, when one exists (`None` for stages driven at ρ ≥ 1).
-    pub stages: Vec<(String, Option<Mm1>)>,
-    /// End-to-end mean sojourn time (sum of stage `W`s), when every
-    /// stage is stable.
-    pub total_sojourn: Option<f64>,
-    /// Mean data in system (sum of stage `L`s, in *jobs* of the chosen
-    /// granularity), when every stage is stable.
-    pub total_in_system: Option<f64>,
 }
 
 /// Analyze a tandem network fed at `source_rate` (input-referred
-/// bytes/s), with M/M/1 stages evaluated at the offered load.
-///
-/// `job_size` sets the granularity for converting byte rates into job
-/// rates for the per-stage M/M/1 metrics (bytes themselves would give
-/// astronomically high rates with identical ratios; job granularity
-/// matches how the paper's stages actually dispatch).
+/// bytes/s): the roofline and the stage that sets it.
 pub fn analyze_tandem(
     source_rate: f64,
     stages: &[TandemStage],
-    job_size: f64,
 ) -> Result<TandemAnalysis, QueueError> {
-    if !(source_rate.is_finite() && source_rate > 0.0 && job_size.is_finite() && job_size > 0.0) {
+    if !(source_rate.is_finite() && source_rate > 0.0) {
         return Err(QueueError::BadParameters);
     }
     if stages.is_empty() || stages.iter().any(|s| !(s.rate.is_finite() && s.rate > 0.0)) {
         return Err(QueueError::BadParameters);
     }
-
-    // Roofline.
     let mut roofline = source_rate;
     let mut bottleneck = "source".to_string();
     for s in stages {
@@ -74,43 +55,9 @@ pub fn analyze_tandem(
             bottleneck = s.name.clone();
         }
     }
-
-    // Offered load = source rate; stages slower than the offered load
-    // saturate (ρ ≥ 1 → no steady state).
-    let lambda_jobs = source_rate / job_size;
-    let mut per = Vec::with_capacity(stages.len());
-    let mut utilization = Vec::with_capacity(stages.len());
-    let mut total_w = Some(0.0);
-    let mut total_l = Some(0.0);
-    for s in stages {
-        let mu_jobs = s.rate / job_size;
-        utilization.push((s.name.clone(), (source_rate / s.rate).min(1.0)));
-        match Mm1::new(lambda_jobs, mu_jobs) {
-            Ok(m) => {
-                if let Some(w) = total_w.as_mut() {
-                    *w += m.w;
-                }
-                if let Some(l) = total_l.as_mut() {
-                    *l += m.l;
-                }
-                per.push((s.name.clone(), Some(m)));
-            }
-            Err(QueueError::Unstable) => {
-                total_w = None;
-                total_l = None;
-                per.push((s.name.clone(), None));
-            }
-            Err(e) => return Err(e),
-        }
-    }
-
     Ok(TandemAnalysis {
         roofline,
         bottleneck,
-        utilization,
-        stages: per,
-        total_sojourn: total_w,
-        total_in_system: total_l,
     })
 }
 
@@ -134,7 +81,6 @@ mod tests {
                 stage("slow", 600.0),
                 stage("mid", 2000.0),
             ],
-            100.0,
         )
         .unwrap();
         assert_eq!(a.roofline, 600.0);
@@ -143,35 +89,15 @@ mod tests {
 
     #[test]
     fn source_limited_when_stages_fast() {
-        let a = analyze_tandem(100.0, &[stage("s", 400.0)], 10.0).unwrap();
+        let a = analyze_tandem(100.0, &[stage("s", 400.0)]).unwrap();
         assert_eq!(a.roofline, 100.0);
         assert_eq!(a.bottleneck, "source");
-        assert!(a.total_sojourn.is_some());
-    }
-
-    #[test]
-    fn saturated_stage_has_no_steady_state() {
-        let a = analyze_tandem(1000.0, &[stage("slow", 600.0)], 100.0).unwrap();
-        assert_eq!(a.roofline, 600.0);
-        assert!(a.stages[0].1.is_none());
-        assert_eq!(a.total_sojourn, None);
-        assert_eq!(a.utilization[0].1, 1.0);
-    }
-
-    #[test]
-    fn tandem_sojourn_adds_up() {
-        let a = analyze_tandem(100.0, &[stage("a", 200.0), stage("b", 300.0)], 10.0).unwrap();
-        // Jackson: W = 1/(20−10) + 1/(30−10) = 0.15 (in job-time units).
-        assert!((a.total_sojourn.unwrap() - 0.15).abs() < 1e-12);
-        // L = λW.
-        assert!((a.total_in_system.unwrap() - 10.0 * 0.15).abs() < 1e-12);
     }
 
     #[test]
     fn validation() {
-        assert!(analyze_tandem(0.0, &[stage("a", 1.0)], 1.0).is_err());
-        assert!(analyze_tandem(1.0, &[], 1.0).is_err());
-        assert!(analyze_tandem(1.0, &[stage("a", f64::NAN)], 1.0).is_err());
-        assert!(analyze_tandem(1.0, &[stage("a", 2.0)], 0.0).is_err());
+        assert!(analyze_tandem(0.0, &[stage("a", 1.0)]).is_err());
+        assert!(analyze_tandem(1.0, &[]).is_err());
+        assert!(analyze_tandem(1.0, &[stage("a", f64::NAN)]).is_err());
     }
 }

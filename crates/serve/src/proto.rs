@@ -20,7 +20,7 @@
 //! the networked service produce their CSV through this one type — the
 //! wire representation and the artifact cannot drift.
 
-use nc_admit::{Decision, Placement, RejectReason};
+use nc_admit::{Decision, RejectReason};
 use nc_core::num::Rat;
 
 /// Hard cap on the declared frame length (tag + payload, bytes).
@@ -232,8 +232,7 @@ impl Outcome {
         }
     }
 
-    /// Stable lowercase label (CSV output) — identical to
-    /// [`Decision::label`] for arrivals.
+    /// Stable lowercase label (CSV output).
     pub fn label(self) -> &'static str {
         match self {
             Outcome::Admit => "admit",
@@ -241,15 +240,6 @@ impl Outcome {
             Outcome::Reject(r) => r.label(),
             Outcome::Vacate => "vacate",
             Outcome::Noop => "noop",
-        }
-    }
-
-    /// Where an admitting outcome placed the flow.
-    pub fn placement(self) -> Option<Placement> {
-        match self {
-            Outcome::Admit => Some(Placement::Local),
-            Outcome::AdmitRemote => Some(Placement::Remote),
-            _ => None,
         }
     }
 
@@ -339,6 +329,9 @@ pub struct ReconfiguredFrame {
     pub tenant: u32,
     /// Echo of the replaced stage.
     pub stage: u32,
+    /// Echo of the requested service tier, so an applied
+    /// reconfiguration can be mirrored without remembering the request.
+    pub tier: u32,
     /// `true` when the reprovisioning was applied; `false` when
     /// onboarding rejected it (engine left untouched).
     pub applied: bool,
@@ -468,6 +461,7 @@ pub fn encode_response(out: &mut Vec<u8>, frame: &ResponseFrame) {
             w.u64(r.seq);
             w.u32(r.tenant);
             w.u32(r.stage);
+            w.u32(r.tier);
             w.u8(r.applied as u8);
             w.u64(r.evicted);
         }),
@@ -660,6 +654,7 @@ pub fn decode_response(buf: &[u8]) -> Result<Option<(ResponseFrame, usize)>, Pro
             let seq = r.u64()?;
             let tenant = r.u32()?;
             let stage = r.u32()?;
+            let tier = r.u32()?;
             let offset = r.at;
             let applied = match r.u8()? {
                 0 => false,
@@ -675,6 +670,7 @@ pub fn decode_response(buf: &[u8]) -> Result<Option<(ResponseFrame, usize)>, Pro
                 seq,
                 tenant,
                 stage,
+                tier,
                 applied,
                 evicted: r.u64()?,
             })
@@ -767,6 +763,7 @@ mod tests {
                 seq: 9,
                 tenant: 1,
                 stage: 2,
+                tier: 3,
                 applied: true,
                 evicted: 4,
             }),

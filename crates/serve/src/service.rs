@@ -40,11 +40,12 @@
 //!    dispatch: engine frames to their shard ring (respecting ring
 //!    backpressure via a one-frame `pending` slot), what-ifs to the
 //!    sidecar, `Shutdown` arms the drain; a connection whose write
-//!    buffer is over [`WBUF_HIGH_WATER`] is neither read nor
+//!    buffer is over `WBUF_HIGH_WATER` is neither read nor
 //!    dispatched until a flush drains it,
 //! 3. drain shard responses and sidecar answers, encode them into the
 //!    owning connection's write buffer; **applied** reconfigurations
-//!    are mirrored to the sidecar snapshot,
+//!    are mirrored to the sidecar snapshot at the tier their response
+//!    echoes,
 //! 4. flush write buffers.
 //!
 //! A malformed frame ([`ProtoError`]) or out-of-range field closes
@@ -52,7 +53,6 @@
 //! Shutdown completes once every dispatched frame has been answered
 //! and every answer flushed.
 
-use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -309,11 +309,6 @@ impl Server {
         };
         let mut stats = ServerStats::default();
         let mut conns: Vec<Option<Conn>> = Vec::new();
-        // Reconfigure frames do not carry their tier on the response,
-        // so remember it to mirror applied ones into the sidecar
-        // snapshot. Keyed by `(conn, seq)`: `seq` is client-chosen, so
-        // two connections reusing the same value must not collide.
-        let mut reconfig_tiers: HashMap<(u32, u64), u32> = HashMap::new();
         let mut envelopes: Vec<Envelope<ResponseFrame>> = Vec::new();
         let mut chunk = [0u8; 16 << 10];
         let mut shutting_down = false;
@@ -411,9 +406,6 @@ impl Server {
                             conn.inflight += 1;
                         }
                         engine_frame => {
-                            if let RequestFrame::Reconfigure(rc) = &engine_frame {
-                                reconfig_tiers.insert((ix as u32, rc.seq), rc.tier);
-                            }
                             let shard = pool.route(
                                 engine_frame.tenant().expect("an engine frame has a tenant"),
                             );
@@ -449,11 +441,7 @@ impl Server {
                         ResponseFrame::Reconfigured(rc) => {
                             stats.reconfigs += 1;
                             if rc.applied {
-                                if let Some(tier) = reconfig_tiers.remove(&(env.conn, rc.seq)) {
-                                    sidecar.update(rc.tenant, rc.stage, tier);
-                                }
-                            } else {
-                                reconfig_tiers.remove(&(env.conn, rc.seq));
+                                sidecar.update(rc.tenant, rc.stage, rc.tier);
                             }
                         }
                         ResponseFrame::WhatIf(_) => unreachable!("shards never answer what-ifs"),

@@ -3,11 +3,11 @@
 //! Tenants are hash-routed (`tenant % shards`) to a shard; each shard
 //! worker owns its own [`AdmissionEngine`] (and therefore its own
 //! `ModelCache` and scalar arenas) and is fed over a bounded SPSC ring
-//! pair built on [`nc_des::link`] (batched publication, a closed flag,
-//! and a spin-then-park gate): requests in, responses out, every ring
-//! publishing in batches of the `NC_PUB_QUANTUM` quantum so the hot
-//! decision path pays one mutex acquisition and one gate bump per
-//! *batch*, not per request.
+//! pair built on [`nc_des::link`](mod@nc_des::link) (batched
+//! publication, a closed flag, and a spin-then-park gate): requests
+//! in, responses out, every ring publishing in batches of the
+//! `NC_PUB_QUANTUM` quantum so the hot decision path pays one mutex
+//! acquisition and one gate bump per *batch*, not per request.
 //!
 //! **Determinism.** Decisions are independent across tenants — each
 //! tenant has its own path state, and the shared model cache affects
@@ -136,11 +136,6 @@ impl ShardPool {
     /// The progress gate shared by the front and every shard.
     pub fn gate(&self) -> &Arc<ProgressGate> {
         &self.gate
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// The ring publication quantum, frames: a shard publishes its
@@ -356,6 +351,7 @@ pub(crate) fn reconfigure(
         seq: rc.seq,
         tenant: rc.tenant,
         stage: rc.stage,
+        tier: rc.tier,
         applied: node.is_some(),
         evicted,
     };

@@ -18,7 +18,7 @@ use nc_serve::proto::{
 };
 use nc_serve::replay::{replay_inproc, request_frames, to_csv};
 use nc_serve::service::{Client, Endpoint, Server};
-use nc_serve::{fleet, RequestFrame, ResponseFrame};
+use nc_serve::{fleet, sidecar, RequestFrame, ResponseFrame};
 use nc_workloads::requests::{generate, reconfig_events};
 
 /// Publication quantum of the park-path tests: small, so a short trace
@@ -221,9 +221,8 @@ fn read_responses(s: &mut UnixStream, n: usize) -> Vec<ResponseFrame> {
 }
 
 /// Reconfiguration sequence numbers are client-chosen: two
-/// connections reusing the same value must not collide in the
-/// service's seq→tier bookkeeping, or the sidecar snapshot is updated
-/// with the wrong connection's tier.
+/// connections reusing the same value each get their own verdict, and
+/// only the applied one reaches the sidecar snapshot.
 #[test]
 fn colliding_reconfig_seqs_across_connections_stay_isolated() {
     let path = uds_path("reconfig-seq");
@@ -235,9 +234,8 @@ fn colliding_reconfig_seqs_across_connections_stay_isolated() {
     // Both connections use seq 7: `a` derates tenant 1's encrypt
     // stage (tier 0, applied); `b` sends the degenerate zero-rate
     // tier for tenant 3 (rejected). Both frames are in flight before
-    // either response is read. A seq-only keyed map would let `b`'s
-    // tier-3 entry overwrite `a`'s, mirroring a zero-rate node into
-    // tenant 1's sidecar snapshot.
+    // either response is read. A zero-rate node mirrored into tenant
+    // 1's sidecar snapshot would make every grid point infeasible.
     let mut a = UnixStream::connect(&path).expect("connect a");
     let mut b = UnixStream::connect(&path).expect("connect b");
     let mut wire = Vec::new();
@@ -310,6 +308,71 @@ fn colliding_reconfig_seqs_across_connections_stay_isolated() {
     assert_eq!(stats.whatifs, 1);
     assert_eq!(stats.protocol_errors, 0);
     let _ = std::fs::remove_file(path);
+}
+
+/// One connection reuses a reconfiguration `seq`: a tier-2 upgrade of
+/// tenant 1's stage 2 (applied), then the zero-rate tier 3 under the
+/// same `seq` (rejected). Only the applied tier may reach the sidecar
+/// snapshot, so the what-if answer that follows must equal
+/// [`sidecar::answer`] on the fleet with tier 2 at stage 2. A
+/// mirrored zero-rate node would panic the sidecar's sweep, and with
+/// it the event loop.
+#[test]
+fn a_reused_reconfig_seq_mirrors_only_the_applied_tier() {
+    under_watchdog(|| {
+        let path = uds_path("reconfig-reuse");
+        let cfg = fleet::request_config(11, 4, 10);
+        let ep = Endpoint::Uds(path.clone());
+        let server = Server::bind(&ep, &cfg, 2, 4, false).expect("bind uds");
+        let handle = std::thread::spawn(move || server.run().expect("event loop"));
+
+        let mut conn = UnixStream::connect(&path).expect("connect");
+        let mut wire = Vec::new();
+        for tier in [2, 3] {
+            encode_request(
+                &mut wire,
+                &RequestFrame::Reconfigure(ReconfigFrame {
+                    seq: 9,
+                    tenant: 1,
+                    stage: 2,
+                    tier,
+                }),
+            );
+        }
+        conn.write_all(&wire).expect("write reconfigurations");
+        let verdicts: Vec<(u64, u32, u32, bool)> = read_responses(&mut conn, 2)
+            .into_iter()
+            .map(|r| match r {
+                ResponseFrame::Reconfigured(rc) => (rc.seq, rc.tenant, rc.stage, rc.applied),
+                other => panic!("unexpected response: {other:?}"),
+            })
+            .collect();
+        assert_eq!(verdicts, [(9, 1, 2, true), (9, 1, 2, false)]);
+
+        let query = WhatIfFrame {
+            id: 1,
+            tenant: 1,
+            points: 8,
+        };
+        wire.clear();
+        encode_request(&mut wire, &RequestFrame::WhatIf(query));
+        conn.write_all(&wire).expect("write what-if");
+        let got = match read_responses(&mut conn, 1).remove(0) {
+            ResponseFrame::WhatIf(ans) => ans,
+            other => panic!("unexpected response: {other:?}"),
+        };
+        let mut snapshot: Vec<_> = (0..cfg.tenants).map(fleet::tenant_pipeline).collect();
+        snapshot[1].nodes[2] = fleet::reconfig_node(1, 2, 2);
+        assert_eq!(got, sidecar::answer(&snapshot, &query));
+
+        drop(conn);
+        let mut client = Client::connect(&ep).expect("connect");
+        client.shutdown().expect("shutdown");
+        let stats = handle.join().expect("server thread");
+        assert_eq!(stats.reconfigs, 2);
+        assert_eq!(stats.whatifs, 1);
+        let _ = std::fs::remove_file(path);
+    });
 }
 
 /// Run `body` on a helper thread and fail if it has not finished within

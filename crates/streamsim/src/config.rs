@@ -18,19 +18,16 @@ pub struct SimConfig {
     /// Bytes emitted by the source per arrival event (input units).
     /// Defaults to the first node's job size when `None`.
     pub source_chunk: Option<u64>,
-    /// Capacity of each inter-stage queue in *local* bytes of the
-    /// producing stage. `None` = unbounded (the paper's default; it
-    /// lists queue-overflow handling as future work — the repo closes
-    /// that gap with the flow-control bounds of `nc_core::flowctl`,
-    /// fed by [`flow_windows`]).
-    pub queue_capacity: Option<u64>,
-    /// Per-queue capacity override in local bytes of each node's input
-    /// (`queue_capacities[i]` feeds node `i`). Overrides
-    /// `queue_capacity` where set; must be at least `job + block −
+    /// Capacity of each inter-stage queue in local bytes of each
+    /// node's input (`queue_capacities[i]` feeds node `i`; one entry
+    /// per node, `vec![cap; n]` for one cap everywhere). `None` =
+    /// unbounded (the paper's default; it lists queue-overflow
+    /// handling as future work — the repo closes that gap with the
+    /// flow-control bounds of `nc_core::flowctl`, fed by
+    /// [`flow_windows`]). Each cap must be at least `job + block −
     /// gcd(job, block)` for the node's job size and the upstream block
     /// (checked by [`SimConfig::validate_queues`], enforced by the
-    /// simulator).
-    /// Models the Mercator limited queues of §4.1.
+    /// simulator). Models the Mercator limited queues of §4.1.
     pub queue_capacities: Option<Vec<u64>>,
     /// Record cumulative input/output traces (for Figures 4 and 10).
     ///
@@ -102,7 +99,6 @@ impl Default for SimConfig {
             seed: 0xC0FFEE,
             total_input: 64 << 20,
             source_chunk: None,
-            queue_capacity: None,
             queue_capacities: None,
             trace: true,
             service_model: ServiceModel::Uniform,
@@ -159,8 +155,7 @@ pub(crate) fn derive_params(p: &Pipeline) -> Vec<NodeParams> {
 }
 
 /// Resolve the effective capacity of every inter-stage queue
-/// (`queue_capacities[i]` wins over the global `queue_capacity`;
-/// `None` = unbounded) and validate each bounded one: the capacity
+/// (`None` = unbounded) and validate each bounded one: the capacity
 /// must admit the node's own job and the whole block its upstream
 /// producer emits in one step (the source chunk for queue 0), or the
 /// pipeline wedges the first time the queue fills.
@@ -189,11 +184,7 @@ pub(crate) fn resolved_queue_caps(
         .iter()
         .enumerate()
         .map(|(i, node)| {
-            let cap = config
-                .queue_capacities
-                .as_ref()
-                .map(|caps| caps[i])
-                .or(config.queue_capacity);
+            let cap = config.queue_capacities.as_ref().map(|caps| caps[i]);
             if let Some(cap) = cap {
                 if cap < node.job_in {
                     return Err(ConfigError::QueueBelowJobSize {
@@ -358,7 +349,7 @@ mod tests {
         let cfg = SimConfig::default();
         assert!(cfg.validate_queues(&p).is_ok());
         let bounded = SimConfig {
-            queue_capacity: Some(64),
+            queue_capacities: Some(vec![64; 2]),
             ..SimConfig::default()
         };
         assert!(bounded.validate_queues(&p).is_ok());
@@ -446,7 +437,7 @@ mod tests {
         let cfg = |cap: u64, service_model: ServiceModel| SimConfig {
             total_input: 5_000,
             source_chunk: Some(100),
-            queue_capacity: Some(cap),
+            queue_capacities: Some(vec![cap]),
             service_model,
             trace: false,
             ..SimConfig::default()

@@ -781,7 +781,6 @@ mod tests {
             seed: 7,
             total_input: total,
             source_chunk: Some(64),
-            queue_capacity: None,
             queue_capacities: None,
             service_model: ServiceModel::Deterministic,
             trace: false,
@@ -829,7 +828,7 @@ mod tests {
             vec![node("a", 1500, 64, 64), node("slow", 400, 64, 64)],
         );
         let mut c = cfg(64 * 4000);
-        c.queue_capacity = Some(256);
+        c.queue_capacities = Some(vec![256; 2]);
         assert_jump_matches_stepping(&p, &c);
     }
 

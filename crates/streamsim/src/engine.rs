@@ -620,7 +620,6 @@ mod tests {
             seed: 1,
             total_input: total,
             source_chunk: Some(64),
-            queue_capacity: None,
             queue_capacities: None,
             service_model: ServiceModel::Uniform,
             trace: true,
@@ -708,7 +707,7 @@ mod tests {
             ],
         );
         let mut c = cfg(64 * 60);
-        c.queue_capacity = Some(256);
+        c.queue_capacities = Some(vec![256; 2]);
         let r = simulate(&p, &c);
         // All data still flows (blocking, not dropping)…
         assert!((r.bytes_out - 64.0 * 60.0).abs() < 1e-6);

@@ -122,11 +122,7 @@ pub fn simulate_reference(pipeline: &Pipeline, config: &SimConfig) -> SimResult 
     }
     let queues: Vec<ByteQueue> = (0..n)
         .map(|i| {
-            let cap = config
-                .queue_capacities
-                .as_ref()
-                .map(|caps| caps[i])
-                .or(config.queue_capacity);
+            let cap = config.queue_capacities.as_ref().map(|caps| caps[i]);
             match cap {
                 None => ByteQueue::unbounded(Time::ZERO),
                 Some(c) => {

@@ -51,16 +51,6 @@ impl Quantiles {
         self.sorted = false;
     }
 
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True when no observations have been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
     /// The nearest-rank `q`-quantile of the sample, `None` when empty.
     /// `q = 0` is the minimum, `q = 1` the maximum; ties are handled
     /// by rank (duplicates occupy adjacent ranks).
@@ -92,7 +82,6 @@ mod tests {
     #[test]
     fn empty_sample_has_no_quantiles() {
         let mut q = Quantiles::new();
-        assert!(q.is_empty());
         assert_eq!(q.quantile(0.5), None);
         assert_eq!(q.quantile(0.0), None);
         assert_eq!(q.quantile(1.0), None);
@@ -101,7 +90,6 @@ mod tests {
     #[test]
     fn single_sample_is_every_quantile() {
         let mut q = Quantiles::from_samples([42.0]);
-        assert_eq!(q.len(), 1);
         for level in [0.0, 0.25, 0.5, 0.99, 1.0] {
             assert_eq!(q.quantile(level), Some(42.0));
         }

@@ -105,7 +105,6 @@ proptest! {
             seed,
             total_input: total,
             source_chunk: None,
-            queue_capacity: None,
             queue_capacities: None,
             service_model: nc_streamsim::ServiceModel::Uniform,
             trace: true,

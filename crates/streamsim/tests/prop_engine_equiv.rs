@@ -113,7 +113,6 @@ fn cfg(case: &GenCase, model: ServiceModel, seed: u64, trace: bool) -> SimConfig
         seed,
         total_input: case.total,
         source_chunk: Some(case.chunk),
-        queue_capacity: None,
         queue_capacities: case.caps.clone(),
         trace,
         service_model: model,

@@ -291,7 +291,6 @@ fn cfg(case: &GenCase, model: ServiceModel, seed: u64, faults: Option<FaultSched
         seed,
         total_input: case.total,
         source_chunk: Some(case.chunk),
-        queue_capacity: None,
         queue_capacities: case.caps.clone(),
         trace: false,
         service_model: model,
@@ -320,7 +319,6 @@ proptest! {
             seed,
             total_input: total,
             source_chunk: None,
-            queue_capacity: None,
             queue_capacities: None,
             service_model: ServiceModel::Uniform,
             trace: true,

@@ -108,7 +108,6 @@ fn cfg(case: &GenCase, caps: Vec<u64>, seed: u64, model: ServiceModel) -> SimCon
         seed,
         total_input: case.total,
         source_chunk: Some(case.chunk),
-        queue_capacity: None,
         queue_capacities: Some(caps),
         trace: false,
         service_model: model,

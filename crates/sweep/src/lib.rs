@@ -641,9 +641,7 @@ fn flowctl_summary(
     cfg: &SimConfig,
     cache: Option<&mut ModelCache>,
 ) -> Option<FlowCtlSummary> {
-    if cfg.queue_capacity.is_none() && cfg.queue_capacities.is_none() {
-        return None;
-    }
+    cfg.queue_capacities.as_ref()?;
     let det;
     let p = if cfg.service_model == ServiceModel::Deterministic {
         det = p.deterministic_variant();
@@ -924,7 +922,7 @@ mod tests {
                 seed: 7,
                 total_input: 64 << 10,
                 source_chunk: Some(64),
-                queue_capacity: Some(4096),
+                queue_capacities: Some(vec![4096; 2]),
                 trace: false,
                 service_model: ServiceModel::Deterministic,
                 ..SimConfig::default()
@@ -962,7 +960,7 @@ mod tests {
         }
         // Unbounded sims keep the legacy shape: no fc columns at all.
         let mut unbounded = spec.clone();
-        unbounded.sim.as_mut().unwrap().queue_capacity = None;
+        unbounded.sim.as_mut().unwrap().queue_capacities = None;
         let r = run(&unbounded);
         assert!(r.points.iter().all(|p| p.flowctl.is_none()));
         assert!(!r.to_csv().contains("fc_delay"));

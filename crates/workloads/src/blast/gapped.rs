@@ -1,6 +1,6 @@
 //! Host-side gapped extension — the stage the paper's GPU pipeline
 //! omits ("Our implementation does not presently perform gapped
-//! extension [1], but for BLASTN, that stage takes negligible time
+//! extension \[1\], but for BLASTN, that stage takes negligible time
 //! compared to the rest of the pipeline and would be implemented on the
 //! host processor").
 //!

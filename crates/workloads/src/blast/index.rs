@@ -19,8 +19,6 @@ pub const NUM_KMERS: usize = 1 << (2 * SEED_LEN);
 pub struct QueryIndex {
     /// `buckets[code]` = all query positions where the 8-mer occurs.
     buckets: Vec<Vec<u32>>,
-    query_len: usize,
-    distinct: usize,
 }
 
 /// Compute the 16-bit code of the 8-mer starting at base `i` of a
@@ -47,12 +45,7 @@ impl QueryIndex {
         for q in 0..=(query_len - SEED_LEN) {
             buckets[kmer_code(query_packed, q) as usize].push(q as u32);
         }
-        let distinct = buckets.iter().filter(|b| !b.is_empty()).count();
-        QueryIndex {
-            buckets,
-            query_len,
-            distinct,
-        }
+        QueryIndex { buckets }
     }
 
     /// `true` iff the 8-mer code occurs anywhere in the query — the
@@ -66,17 +59,6 @@ impl QueryIndex {
     #[inline]
     pub fn positions(&self, code: u16) -> &[u32] {
         &self.buckets[code as usize]
-    }
-
-    /// Query length in bases.
-    pub fn query_len(&self) -> usize {
-        self.query_len
-    }
-
-    /// Number of distinct 8-mers present (selectivity of the filter:
-    /// `distinct / 65536` is the expected pass rate on random data).
-    pub fn distinct_kmers(&self) -> usize {
-        self.distinct
     }
 }
 
@@ -105,7 +87,6 @@ mod tests {
         let all_t = fa2bit(b"TTTTTTTT");
         assert!(!idx.contains(kmer_code(&all_t, 0)));
         assert!(idx.positions(kmer_code(&all_t, 0)).is_empty());
-        assert_eq!(idx.distinct_kmers(), 1);
     }
 
     #[test]

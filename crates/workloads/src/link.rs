@@ -51,20 +51,6 @@ impl LinkModel {
         }
     }
 
-    /// Validate parameters.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(self.line_rate.is_finite() && self.line_rate > 0.0) {
-            return Err("line_rate must be > 0".into());
-        }
-        if self.payload_per_packet == 0 {
-            return Err("payload_per_packet must be > 0".into());
-        }
-        if !(self.base_latency.is_finite() && self.base_latency >= 0.0) {
-            return Err("base_latency must be >= 0".into());
-        }
-        Ok(())
-    }
-
     /// Packets needed for `bytes` of payload.
     pub fn packets_for(&self, bytes: u64) -> u64 {
         bytes.div_ceil(self.payload_per_packet)
@@ -99,12 +85,6 @@ impl LinkModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn presets_are_valid() {
-        assert!(LinkModel::ten_gbe().validate().is_ok());
-        assert!(LinkModel::pcie_gen3_x16().validate().is_ok());
-    }
 
     #[test]
     fn packet_math() {
@@ -148,18 +128,5 @@ mod tests {
         assert!(net > 1.0e9, "10GbE payload {net}");
         let pcie = LinkModel::pcie_gen3_x16().asymptotic_rate();
         assert!(pcie > 10.0e9, "PCIe payload {pcie}");
-    }
-
-    #[test]
-    fn validation_catches_bad_params() {
-        let mut l = LinkModel::ten_gbe();
-        l.line_rate = 0.0;
-        assert!(l.validate().is_err());
-        let mut l = LinkModel::ten_gbe();
-        l.payload_per_packet = 0;
-        assert!(l.validate().is_err());
-        let mut l = LinkModel::ten_gbe();
-        l.base_latency = f64::NAN;
-        assert!(l.validate().is_err());
     }
 }

@@ -62,7 +62,6 @@ fn run_with_caps(caps: Option<Vec<u64>>) -> (f64, f64) {
             seed: 11,
             total_input: 256 << 20,
             source_chunk: Some(1 << 20),
-            queue_capacity: None,
             queue_capacities: caps,
             service_model: streamcalc::streamsim::ServiceModel::Uniform,
             trace: false,

@@ -48,7 +48,6 @@ fn main() {
                 seed: 5,
                 total_input: 64 << 20,
                 source_chunk: Some(64 << 10),
-                queue_capacity: None,
                 queue_capacities: None,
                 service_model: streamcalc::streamsim::ServiceModel::Uniform,
                 trace: false,

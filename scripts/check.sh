@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, the tier-1 build+test pass, the
-# perfbench build check, the artifact determinism, drift and
-# containment gates, and the perf gate. Run from anywhere inside the
-# repo.
+# Local CI gate: formatting, lints, rustdoc links, the tier-1
+# build+test pass, the perfbench build check, the artifact
+# determinism, drift and containment gates, and the perf gate. Run
+# from anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -11,6 +11,15 @@ cargo fmt --all --check
 
 echo "==> cargo clippy (deny warnings: whole workspace)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> rustdoc (deny warnings: the workspace's own library docs)"
+# Every intra-doc link must resolve, so a deleted item cannot leave a
+# dangling link behind. The packages are named one by one:
+# `--workspace` would also document vendor/'s path crates, whose docs
+# fail on their own.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --lib \
+  -p nc-core -p nc-des -p nc-streamsim -p nc-queueing -p nc-workloads \
+  -p nc-apps -p nc-sweep -p nc-admit -p nc-serve -p nc-bench -p streamcalc
 
 echo "==> tier-1: cargo build --release && cargo test -q --workspace"
 cargo build --release

@@ -5,23 +5,23 @@
 //! Heterogeneous Streaming Applications"* (Faber & Chamberlain) as a
 //! Rust workspace:
 //!
-//! * [`core`](nc_core) — exact min-plus algebra over piecewise-linear
-//!   curves, §3 bounds, packetizers, and the heterogeneous pipeline
-//!   model (the paper's contribution);
-//! * [`des`](nc_des) — a SimPy-equivalent discrete-event kernel;
-//! * [`streamsim`](nc_streamsim) — the §4.2 pipeline simulator;
-//! * [`queueing`](nc_queueing) — M/M/1 / M/G/1 baselines and
-//!   the roofline flow analysis of Faber et al. [12];
-//! * [`workloads`](nc_workloads) — from-scratch BLASTN stages, LZ4,
-//!   AES-256-CBC, link models, and the isolation measurement harness;
-//! * [`apps`](nc_apps) — the BLAST (§4) and bump-in-the-wire (§5)
-//!   evaluations wired end to end;
-//! * [`admit`](nc_admit) — a high-throughput admission-control engine
-//!   answering admit/reject/offload by incremental recomputation of
-//!   the §3 bounds;
-//! * [`serve`](nc_serve) — a networked front for the admission engine:
-//!   binary wire protocol, shard-per-core workers over SPSC rings, and
-//!   a what-if capacity sidecar.
+//! * [`core`] — exact min-plus algebra over piecewise-linear curves,
+//!   §3 bounds, packetizers, and the heterogeneous pipeline model (the
+//!   paper's contribution);
+//! * [`des`] — a SimPy-equivalent discrete-event kernel;
+//! * [`streamsim`] — the §4.2 pipeline simulator;
+//! * [`queueing`] — M/M/1 / M/G/1 baselines and the roofline flow
+//!   analysis of Faber et al. \[12\];
+//! * [`workloads`] — from-scratch BLASTN stages, LZ4, AES-256-CBC,
+//!   link models, and the isolation measurement harness;
+//! * [`apps`] — the BLAST (§4) and bump-in-the-wire (§5) evaluations
+//!   wired end to end;
+//! * [`admit`] — a high-throughput admission-control engine answering
+//!   admit/reject/offload by incremental recomputation of the §3
+//!   bounds;
+//! * [`serve`] — a networked front for the admission engine: binary
+//!   wire protocol, shard-per-core workers over SPSC rings, and a
+//!   what-if capacity sidecar.
 //!
 //! ## One-minute tour
 //!

@@ -45,7 +45,6 @@ fn all_three_models_agree_on_the_bottleneck() {
             name: "stage".into(),
             rate: 1000.0,
         }],
-        1000.0,
     )
     .unwrap();
     assert_eq!(tandem.roofline, 500.0);
@@ -56,7 +55,6 @@ fn all_three_models_agree_on_the_bottleneck() {
             seed: 3,
             total_input: 1_000_000,
             source_chunk: Some(1000),
-            queue_capacity: None,
             queue_capacities: None,
             service_model: nc_streamsim::ServiceModel::Uniform,
             trace: false,
@@ -115,7 +113,7 @@ fn queueing_roofline_equals_nc_avg_bottleneck() {
             rate: n.rate_avg.to_f64(),
         })
         .collect();
-    let t = analyze_tandem(1e15, &stages, 1048576.0).unwrap();
+    let t = analyze_tandem(1e15, &stages).unwrap();
     assert!((t.roofline - m.bottleneck_rate_avg.to_f64()).abs() < 1.0);
     assert_eq!(t.bottleneck, "seed_match");
 }
@@ -131,7 +129,6 @@ fn des_validates_nc_delay_on_deterministic_stage() {
             seed: 1,
             total_input: 500_000,
             source_chunk: Some(1000),
-            queue_capacity: None,
             queue_capacities: None,
             service_model: nc_streamsim::ServiceModel::Uniform,
             trace: false,
@@ -209,7 +206,7 @@ fn assert_three_way_containment(tag: &str, m: &PipelineModel, sim: &SimResult) {
     };
     // The roofline states sustained rates; the run's initial burst
     // amortizes to at most one source chunk over the makespan.
-    let t = analyze_tandem(offered, &stages, 1024.0).expect("valid tandem");
+    let t = analyze_tandem(offered, &stages).expect("valid tandem");
     assert!(
         sim.throughput <= t.roofline * (1.0 + 1e-3),
         "{tag}: sim throughput {} above queueing roofline {}",
@@ -266,7 +263,6 @@ fn three_model_grid_containment() {
                 seed: 100 + point,
                 total_input: 2_000_000,
                 source_chunk: Some(job as u64),
-                queue_capacity: None,
                 queue_capacities: None,
                 service_model: nc_streamsim::ServiceModel::Uniform,
                 trace: false,
@@ -397,7 +393,6 @@ fn stochastic_tail_p99_grid_containment() {
                     seed: 1000 * point + replica + 1,
                     total_input: total,
                     source_chunk: Some(job as u64),
-                    queue_capacity: None,
                     queue_capacities: None,
                     service_model: nc_streamsim::ServiceModel::Uniform,
                     trace: false,
@@ -467,7 +462,6 @@ fn stochastic_tail_million_replica_containment() {
                     seed: replica + 1,
                     total_input: total,
                     source_chunk: Some(512),
-                    queue_capacity: None,
                     queue_capacities: None,
                     service_model: nc_streamsim::ServiceModel::Uniform,
                     trace: false,
