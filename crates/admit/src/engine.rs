@@ -4,7 +4,7 @@
 
 use nc_core::bounds;
 use nc_core::cache::CurveRef;
-use nc_core::num::Rat;
+use nc_core::num::{lcm, Rat};
 use nc_core::pipeline::{ModelCache, Node, Pipeline};
 
 use crate::{AdmitError, ClassId, Decision, FlowClass, Placement, RejectReason};
@@ -35,84 +35,283 @@ pub struct EngineStats {
     pub prefilter_rejects: u64,
 }
 
-/// The scalar parameters of one flow-class candidate on the hot path
-/// (`Copy`, so no class lookup survives into the per-stage loops).
-#[derive(Clone, Copy)]
-struct ClassParams {
-    rate: Rat,
-    burst: Rat,
-    deadline: Rat,
-}
-
 /// Outcome of a non-committing path evaluation.
 struct EvalOut {
     bound: Rat,
     used_tight: bool,
 }
 
+/// One stage's frozen service scalars, exact. Onboarding, re-gridding
+/// and [`AdmissionEngine::placement_cap`] read them; decisions read
+/// the path's [`Grid`] instead.
+#[derive(Clone, Copy)]
+struct Service {
+    /// Guaranteed service rate `R_j` of the stage's packetized
+    /// rate-latency curve (input-referred bytes/s).
+    rate: Rat,
+    /// Effective latency `T_j` (dispatch + collection + packetization
+    /// `l_j/R_j`), seconds.
+    lat: Rat,
+    /// Placement pre-filter rate cap for attaching here (`None` when no
+    /// backlog budget is configured).
+    cap: Option<Rat>,
+}
+
+/// One stage's constants on its path's [`Grid`].
+#[derive(Clone, Copy)]
+struct StageGrid {
+    /// `R_j·dr`: the rate-feasibility limit.
+    rate: i128,
+    /// `τ_j = T_j·db/dr`: the hop inflation `b + r·T_j` is `β + ρ·τ_j`.
+    tau: i128,
+    /// `a_j = T_j·dd`: the stage latency in delay units.
+    lat: i128,
+    /// `m_j = dd/(db·R_j)`: the stage delay `T_j + b/R_j` is
+    /// `a_j + β·m_j`.
+    m: i128,
+    /// `⌊cap_j·dr⌋`, the placement pre-filter cap.
+    cap: Option<i128>,
+}
+
+/// A registered flow class on a path's [`Grid`].
+#[derive(Clone, Copy)]
+struct ClassGrid {
+    /// `ρ = r·dr`.
+    rate: i128,
+    /// `β = b·db`.
+    burst: i128,
+    /// `⌊deadline·dd⌋`.
+    deadline: i128,
+}
+
+/// A path's three integer grids (`DESIGN.md` §13): rates in units of
+/// `1/dr`, bursts in `1/db`, delays in `1/dd`, chosen once from the
+/// frozen service scalars and the registered classes so that every
+/// load-side quantity of the path is an integer and the decision path
+/// runs on checked `i128` add, multiply and compare only.
+///
+/// * `dr` = lcm of the denominators of every stage rate and class rate;
+/// * `db` = lcm of `dr·dt` (`dt` = lcm of the `T_j` denominators) and
+///   the denominators of the source burst and every class burst;
+/// * `dd` = `db` × lcm of the stage-rate numerators.
+///
+/// Thresholds that fall between grid points are stored as floors: for
+/// an integer `x`, `x > q ⇔ x > ⌊q⌋` and `x ≤ q ⇔ x ≤ ⌊q⌋`.
+struct Grid {
+    /// Delay units per second.
+    dd: i128,
+    /// The provisioned source burst, `b_src·db`.
+    base_burst: i128,
+    /// The per-stage backlog budget, `⌊bud·db⌋`.
+    budget: Option<i128>,
+    stages: Vec<StageGrid>,
+    /// Indexed by [`ClassId`].
+    classes: Vec<ClassGrid>,
+}
+
+/// `x·k`, for an integer `k` that `x`'s denominator divides.
+fn scaled(x: Rat, k: i128) -> Option<i128> {
+    x.numer().checked_mul(k / x.denom())
+}
+
+/// `⌊x·k⌋`: one `i128` product and division, cross-reduced through
+/// `Rat` only when the product overflows.
+fn floor_scaled(x: Rat, k: i128) -> Option<i128> {
+    match x.numer().checked_mul(k) {
+        Some(xk) => Some(xk.div_euclid(x.denom())),
+        None => x.checked_mul(Rat::new(k, 1)).map(Rat::floor),
+    }
+}
+
+impl Grid {
+    /// The grid of a path with service `svc`, source burst
+    /// `base_burst` and backlog budget `budget`, for `classes`; `None`
+    /// when it does not fit `i128`.
+    fn new(
+        svc: &[Service],
+        base_burst: Rat,
+        budget: Option<Rat>,
+        classes: &[FlowClass],
+    ) -> Option<Grid> {
+        let rates = svc
+            .iter()
+            .map(|s| s.rate)
+            .chain(classes.iter().map(|c| c.rate));
+        let dr = rates.map(Rat::denom).try_fold(1, lcm)?;
+        let dt = svc.iter().map(|s| s.lat.denom()).try_fold(1, lcm)?;
+        let bursts = std::iter::once(base_burst).chain(classes.iter().map(|c| c.burst));
+        let db = bursts.map(Rat::denom).try_fold(dr.checked_mul(dt)?, lcm)?;
+        let rate_nums = svc.iter().map(|s| s.rate.numer()).try_fold(1, lcm)?;
+        let dd = db.checked_mul(rate_nums)?;
+        let stages = svc
+            .iter()
+            .map(|s| {
+                Some(StageGrid {
+                    rate: scaled(s.rate, dr)?,
+                    tau: scaled(s.lat, db / dr)?,
+                    lat: scaled(s.lat, dd)?,
+                    // dd/(db·R) = L·q/p for R = p/q, with p dividing L.
+                    m: (rate_nums / s.rate.numer()).checked_mul(s.rate.denom())?,
+                    cap: match s.cap {
+                        Some(c) => Some(floor_scaled(c, dr)?),
+                        None => None,
+                    },
+                })
+            })
+            .collect::<Option<Vec<_>>>()?;
+        let classes = classes
+            .iter()
+            .map(|c| {
+                Some(ClassGrid {
+                    rate: scaled(c.rate, dr)?,
+                    burst: scaled(c.burst, db)?,
+                    deadline: floor_scaled(c.deadline, dd)?,
+                })
+            })
+            .collect::<Option<Vec<_>>>()?;
+        Some(Grid {
+            dd,
+            base_burst: scaled(base_burst, db)?,
+            budget: match budget {
+                Some(b) => Some(floor_scaled(b, db)?),
+                None => None,
+            },
+            stages,
+            classes,
+        })
+    }
+
+    /// The tightest deadline among the classes resident at one
+    /// attachment stage (`per_class` counts, indexed by class).
+    fn slo_min(&self, per_class: &[u32]) -> Option<i128> {
+        self.classes
+            .iter()
+            .zip(per_class)
+            .filter(|&(_, &cnt)| cnt > 0)
+            .map(|(c, _)| c.deadline)
+            .min()
+    }
+
+    /// The committed recurrence from stage `a` on, in place: everything
+    /// before `a` is untouched. `None` on `i128` overflow.
+    fn recompute(&self, load: &mut [Load], a: usize) -> Option<()> {
+        for j in a..load.len() {
+            let (prev_r, prev_b) = if j == 0 {
+                (0, self.base_burst)
+            } else {
+                let up = load[j - 1];
+                let hop = up.r_in.checked_mul(self.stages[j - 1].tau)?;
+                (up.r_in, up.b_in.checked_add(hop)?)
+            };
+            let st = self.stages[j];
+            let l = &mut load[j];
+            l.r_in = prev_r.checked_add(l.attach_rate)?;
+            l.b_in = prev_b.checked_add(l.attach_burst)?;
+            l.d = st.lat.checked_add(l.b_in.checked_mul(st.m)?)?;
+        }
+        Some(())
+    }
+
+    /// The load side rebuilt from resident counts: attachment
+    /// aggregates, tightest deadlines and the recurrence. `None` on
+    /// `i128` overflow.
+    fn loads(&self, counts: &[Vec<u32>]) -> Option<Vec<Load>> {
+        let mut load = vec![Load::default(); counts.len()];
+        for (l, per_class) in load.iter_mut().zip(counts) {
+            for (c, &cnt) in self.classes.iter().zip(per_class) {
+                let cnt = i128::from(cnt);
+                l.attach_rate = l.attach_rate.checked_add(c.rate.checked_mul(cnt)?)?;
+                l.attach_burst = l.attach_burst.checked_add(c.burst.checked_mul(cnt)?)?;
+            }
+            l.slo_min = self.slo_min(per_class);
+        }
+        self.recompute(&mut load, 0)?;
+        Some(load)
+    }
+}
+
+/// The panic message of decision-time grid overflow.
+const OVERFLOW: &str = "admission grid arithmetic overflowed i128";
+
+/// Checked `x + y` on the decision path.
+#[inline]
+fn add(x: i128, y: i128) -> i128 {
+    x.checked_add(y).expect(OVERFLOW)
+}
+
+/// Checked `x·y` on the decision path.
+#[inline]
+fn mul(x: i128, y: i128) -> i128 {
+    x.checked_mul(y).expect(OVERFLOW)
+}
+
+/// The load-side state of one stage, on the path's grid.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Load {
+    /// Σ rates of flows attached here.
+    attach_rate: i128,
+    /// Σ bursts of flows attached here.
+    attach_burst: i128,
+    /// Tightest deadline among flows attached here.
+    slo_min: Option<i128>,
+    /// Aggregate arrival rate entering the stage (cumulative over
+    /// attachment stages `≤ j`).
+    r_in: i128,
+    /// Aggregate burst entering the stage (hop-by-hop inflation plus
+    /// newly attached bursts).
+    b_in: i128,
+    /// Stage delay bound `a_j + β_j·m_j`.
+    d: i128,
+}
+
+/// One stage of a candidate's evaluated suffix (preallocated, so
+/// `decide` allocates nothing).
+#[derive(Clone, Copy, Default)]
+struct Scratch {
+    r: i128,
+    b: i128,
+    d: i128,
+    /// Cheap bound from this stage to the sink.
+    suffix: i128,
+}
+
 /// One admission path (a tenant's local pipeline, or its remote
-/// offload pipeline): the frozen service-side scalars plus the
-/// incrementally maintained load-side state.
+/// offload pipeline): the frozen service-side scalars, their integer
+/// grid, and the incrementally maintained load-side state.
 struct PathState {
     pipeline: Pipeline,
     budget: Option<Rat>,
 
     // ---- frozen at onboarding (service side) ----
-    /// Guaranteed service rate `R_j` of each stage's packetized
-    /// rate-latency curve (input-referred bytes/s).
-    serv_rate: Vec<Rat>,
-    /// Effective latency `T_j` of each stage (dispatch + collection +
-    /// packetization `l_j/R_j`), seconds.
-    serv_lat: Vec<Rat>,
-    /// The provisioned source burst, charged as a standing burst
-    /// allowance entering stage 0.
-    base_burst: Rat,
-    /// Placement pre-filter rate caps per attachment stage (`None`
-    /// when no backlog budget is configured).
-    caps: Vec<Option<Rat>>,
+    svc: Vec<Service>,
     /// Interned per-stage packetized service curves (shared cache).
     #[allow(dead_code)] // held so the scalars' backing curves stay interned
     service_refs: Vec<CurveRef>,
     /// Interned suffix service concatenations `RL(min R, ΣT)`.
     #[allow(dead_code)] // read in debug assertions; held for interning
     suffix_refs: Vec<CurveRef>,
+    /// Rebuilt whenever a class registers or the service changes.
+    grid: Grid,
 
     // ---- incrementally maintained (load side) ----
     /// Resident flow counts per `[attach stage][class]`.
     counts: Vec<Vec<u32>>,
-    /// Σ rates of flows attached at each stage.
-    attach_rate: Vec<Rat>,
-    /// Σ bursts of flows attached at each stage.
-    attach_burst: Vec<Rat>,
-    /// Tightest deadline among resident flows per attachment stage.
-    slo_min: Vec<Option<Rat>>,
-    /// Aggregate arrival rate entering stage `j` (cumulative over
-    /// attachment stages `≤ j`).
-    r_in: Vec<Rat>,
-    /// Aggregate burst entering stage `j` (hop-by-hop inflation
-    /// `b → b + r·T` plus newly attached bursts).
-    b_in: Vec<Rat>,
-    /// Per-stage delay bound `d_j = T_j + b_in[j]/R_j`.
-    d_stage: Vec<Rat>,
-
-    // ---- preallocated scratch (allocation-free decide) ----
-    s_r: Vec<Rat>,
-    s_b: Vec<Rat>,
-    s_d: Vec<Rat>,
-    s_suffix: Vec<Rat>,
+    load: Vec<Load>,
+    scratch: Vec<Scratch>,
 }
 
 impl PathState {
     fn len(&self) -> usize {
-        self.serv_rate.len()
+        self.svc.len()
     }
 
     /// Build a path from a pipeline: one cached model build, scalar
-    /// extraction, suffix concatenation in closed form, and the
-    /// placement pre-filter caps.
+    /// extraction, suffix concatenation in closed form, the placement
+    /// pre-filter caps, and the grid for `classes`.
     fn onboard(
         pipeline: Pipeline,
         budget: Option<Rat>,
+        classes: &[FlowClass],
         cache: &mut ModelCache,
     ) -> Result<PathState, AdmitError> {
         pipeline
@@ -128,17 +327,19 @@ impl PathState {
         }
         let model = pipeline.build_model_cached(cache);
         let n = model.per_node.len();
-        let mut serv_rate = Vec::with_capacity(n);
-        let mut serv_lat = Vec::with_capacity(n);
+        let mut svc = Vec::with_capacity(n);
         let mut service_refs = Vec::with_capacity(n);
         for nm in model.per_node.iter() {
-            let (r, t) = nm
+            let (rate, lat) = nm
                 .service
                 .as_rate_latency()
                 .filter(|(r, _)| r.is_positive())
                 .ok_or_else(|| AdmitError::UnsupportedService(nm.name.clone()))?;
-            serv_rate.push(r);
-            serv_lat.push(t);
+            svc.push(Service {
+                rate,
+                lat,
+                cap: None,
+            });
             service_refs.push(cache.curves().intern(&nm.service));
         }
 
@@ -146,11 +347,11 @@ impl PathState {
         // `RL(R₁,T₁) ⊗ RL(R₂,T₂) = RL(min R, T₁+T₂)`, interned through
         // the scalar fast lane — no general ⊗ runs here.
         let mut suffix_refs: Vec<CurveRef> = Vec::with_capacity(n);
-        let mut rmin = serv_rate[n - 1];
+        let mut rmin = svc[n - 1].rate;
         let mut tsum = Rat::ZERO;
-        for k in (0..n).rev() {
-            rmin = rmin.min(serv_rate[k]);
-            tsum += serv_lat[k];
+        for s in svc.iter().rev() {
+            rmin = rmin.min(s.rate);
+            tsum += s.lat;
             suffix_refs.push(cache.curves().rl_ref(rmin, tsum));
         }
         suffix_refs.reverse();
@@ -170,80 +371,61 @@ impl PathState {
         // additionally takes the whole-pipeline
         // `PipelineModel::max_admissible_rate` cap, which charges the
         // provisioned source burst.
-        let caps: Vec<Option<Rat>> = (0..n)
-            .map(|k| {
-                budget.map(|bud| {
-                    let mut cap =
-                        bounds::max_admissible_rate(suffix_refs[k].curve(), Rat::ZERO, bud)
-                            .expect("zero burst fits any budget");
-                    if k == 0 {
-                        let whole = model
-                            .max_admissible_rate(bud)
-                            .expect("zero-load budget feasibility was checked");
-                        cap = cap.min(whole);
-                    }
-                    cap
-                })
-            })
-            .collect();
+        if let Some(bud) = budget {
+            for (k, s) in svc.iter_mut().enumerate() {
+                let mut cap = bounds::max_admissible_rate(suffix_refs[k].curve(), Rat::ZERO, bud)
+                    .expect("zero burst fits any budget");
+                if k == 0 {
+                    let whole = model
+                        .max_admissible_rate(bud)
+                        .expect("zero-load budget feasibility was checked");
+                    cap = cap.min(whole);
+                }
+                s.cap = Some(cap);
+            }
+        }
 
-        let mut path = PathState {
+        let grid = Grid::new(&svc, base_burst, budget, classes).ok_or(AdmitError::Overflow)?;
+        let counts = vec![Vec::new(); n];
+        let load = grid.loads(&counts).ok_or(AdmitError::Overflow)?;
+        Ok(PathState {
             pipeline,
             budget,
-            serv_rate,
-            serv_lat,
-            base_burst,
-            caps,
+            svc,
             service_refs,
             suffix_refs,
-            counts: vec![Vec::new(); n],
-            attach_rate: vec![Rat::ZERO; n],
-            attach_burst: vec![Rat::ZERO; n],
-            slo_min: vec![None; n],
-            r_in: vec![Rat::ZERO; n],
-            b_in: vec![Rat::ZERO; n],
-            d_stage: vec![Rat::ZERO; n],
-            s_r: vec![Rat::ZERO; n],
-            s_b: vec![Rat::ZERO; n],
-            s_d: vec![Rat::ZERO; n],
-            s_suffix: vec![Rat::ZERO; n],
-        };
-        path.recompute_suffix(0);
-        Ok(path)
+            grid,
+            counts,
+            load,
+            scratch: vec![Scratch::default(); n],
+        })
     }
 
-    /// Recompute the committed load-side suffix from stage `a` on —
-    /// the incremental update: everything before `a` is untouched.
-    fn recompute_suffix(&mut self, a: usize) {
-        for j in a..self.len() {
-            let (prev_r, prev_b) = if j == 0 {
-                (Rat::ZERO, self.base_burst)
-            } else {
-                (
-                    self.r_in[j - 1],
-                    self.b_in[j - 1] + self.r_in[j - 1] * self.serv_lat[j - 1],
-                )
-            };
-            self.r_in[j] = prev_r + self.attach_rate[j];
-            self.b_in[j] = prev_b + self.attach_burst[j];
-            self.d_stage[j] = self.serv_lat[j] + self.b_in[j] / self.serv_rate[j];
-        }
+    /// The grid and load side this path would have with `classes`
+    /// registered, its resident flows carried over exactly.
+    fn regrid(&self, classes: &[FlowClass]) -> Result<(Grid, Vec<Load>), AdmitError> {
+        let grid = Grid::new(&self.svc, self.pipeline.source.burst, self.budget, classes)
+            .ok_or(AdmitError::Overflow)?;
+        let load = grid.loads(&self.counts).ok_or(AdmitError::Overflow)?;
+        Ok((grid, load))
     }
 
-    /// Evaluate a candidate without committing: the allocation-free
-    /// hot path. Returns the certified bound or the first failing
-    /// check, in the fixed procedure order (pre-filter, rate
-    /// feasibility + budget per stage, cheap deadline pass, tight
-    /// fallback).
-    fn evaluate(&mut self, p: ClassParams, a: usize) -> Result<EvalOut, RejectReason> {
+    /// Evaluate a candidate of `class` at stage `a` without
+    /// committing: the allocation-free hot path, on the grid. Returns
+    /// the certified bound or the first failing check, in the fixed
+    /// procedure order (pre-filter, rate feasibility + budget per
+    /// stage, cheap deadline pass, tight fallback).
+    fn evaluate(&mut self, class: ClassId, a: usize) -> Result<EvalOut, RejectReason> {
         let n = self.len();
         debug_assert!(a < n);
+        let p = self.grid.classes[class.0];
+        let (g, load) = (&self.grid, &self.load);
 
         // 1. Placement pre-filter: suffix rate caps (sound fast
         // rejects — a violated cap implies a violated exact check).
-        for k in a..n {
-            if let Some(cap) = self.caps[k] {
-                if self.r_in[k] + p.rate > cap {
+        for (st, l) in g.stages[a..].iter().zip(&load[a..]) {
+            if let Some(cap) = st.cap {
+                if add(l.r_in, p.rate) > cap {
                     return Err(RejectReason::PlacementCap);
                 }
             }
@@ -251,27 +433,32 @@ impl PathState {
 
         // 2. Stage pass over the affected suffix: rates, inflated
         // bursts, per-stage delay bounds, backlog budget.
+        let s = &mut self.scratch;
         for j in a..n {
-            let r = self.r_in[j] + p.rate;
-            if r > self.serv_rate[j] {
+            let st = g.stages[j];
+            let r = add(load[j].r_in, p.rate);
+            if r > st.rate {
                 return Err(RejectReason::RateInfeasible);
             }
             let upstream = if j == 0 {
-                self.base_burst
-            } else if j == a {
-                self.b_in[j - 1] + self.r_in[j - 1] * self.serv_lat[j - 1]
+                g.base_burst
             } else {
-                self.s_b[j - 1] + self.s_r[j - 1] * self.serv_lat[j - 1]
+                let (ur, ub) = if j == a {
+                    (load[j - 1].r_in, load[j - 1].b_in)
+                } else {
+                    (s[j - 1].r, s[j - 1].b)
+                };
+                add(ub, mul(ur, g.stages[j - 1].tau))
             };
-            let mut b = upstream + self.attach_burst[j];
+            let mut b = add(upstream, load[j].attach_burst);
             if j == a {
-                b += p.burst;
+                b = add(b, p.burst);
             }
-            self.s_r[j] = r;
-            self.s_b[j] = b;
-            self.s_d[j] = self.serv_lat[j] + b / self.serv_rate[j];
-            if let Some(bud) = self.budget {
-                if b + r * self.serv_lat[j] > bud {
+            s[j].r = r;
+            s[j].b = b;
+            s[j].d = add(st.lat, mul(b, st.m));
+            if let Some(bud) = g.budget {
+                if add(b, mul(r, st.tau)) > bud {
                     return Err(RejectReason::BudgetExceeded);
                 }
             }
@@ -279,10 +466,10 @@ impl PathState {
 
         // 3. Cheap bound: suffix sums of per-stage delay bounds
         // (committed below `a`, candidate state at and after).
-        let mut acc = Rat::ZERO;
+        let mut acc = 0;
         for j in (0..n).rev() {
-            acc += if j >= a { self.s_d[j] } else { self.d_stage[j] };
-            self.s_suffix[j] = acc;
+            acc = add(acc, if j >= a { s[j].d } else { load[j].d });
+            s[j].suffix = acc;
         }
 
         // 4. Deadline checks for the candidate and every protected
@@ -294,7 +481,7 @@ impl PathState {
             let Some(limit) = self.limit_at(k, p, a) else {
                 continue;
             };
-            if self.s_suffix[k] <= limit {
+            if self.scratch[k].suffix <= limit {
                 continue;
             }
             used_tight = true;
@@ -306,18 +493,21 @@ impl PathState {
         let limit_a = self
             .limit_at(a, p, a)
             .expect("candidate stage always has a limit");
-        let bound = if self.s_suffix[a] <= limit_a {
-            self.s_suffix[a]
+        let delay = if self.scratch[a].suffix <= limit_a {
+            self.scratch[a].suffix
         } else {
             self.tight_bound(p, a, a)
         };
-        Ok(EvalOut { bound, used_tight })
+        Ok(EvalOut {
+            bound: Rat::new(delay, self.grid.dd),
+            used_tight,
+        })
     }
 
-    /// The deadline limit protecting attachment stage `k` while
+    /// The deadline floor protecting attachment stage `k` while
     /// deciding a candidate `(p, a)`.
-    fn limit_at(&self, k: usize, p: ClassParams, a: usize) -> Option<Rat> {
-        let slo = self.slo_min[k];
+    fn limit_at(&self, k: usize, p: ClassGrid, a: usize) -> Option<i128> {
+        let slo = self.load[k].slo_min;
         if k == a {
             Some(slo.map_or(p.deadline, |s| s.min(p.deadline)))
         } else {
@@ -326,36 +516,42 @@ impl PathState {
     }
 
     /// Tight delay bound from stage `k` to the sink under the
-    /// candidate `(p, a)`: the suffix is split into maximal
-    /// attachment-free segments; each segment's concatenation
-    /// `RL(min R, ΣT)` pays the entry burst once (`d = ΣT + B/R_min`),
-    /// and bursts inflate between segments exactly as per stage
-    /// (`b → b + r·T` — the rate is constant within a segment).
-    fn tight_bound(&self, p: ClassParams, a: usize, k: usize) -> Rat {
+    /// candidate `(p, a)`, in delay units: the suffix is split into
+    /// maximal attachment-free segments; each segment's concatenation
+    /// `RL(min R, ΣT)` pays the entry burst once (`d = ΣT + B/R_min`,
+    /// here `Σa_j + β·max m_j`), and bursts inflate between segments
+    /// exactly as per stage (`β → β + ρ·τ` — the rate is constant
+    /// within a segment).
+    fn tight_bound(&self, p: ClassGrid, a: usize, k: usize) -> i128 {
         let n = self.len();
-        let b_at = |j: usize| if j >= a { self.s_b[j] } else { self.b_in[j] };
-        let attach_b = |j: usize| {
-            let mut b = self.attach_burst[j];
-            if j == a {
-                b += p.burst;
+        let st = &self.grid.stages;
+        let b_at = |j: usize| {
+            if j >= a {
+                self.scratch[j].b
+            } else {
+                self.load[j].b_in
             }
-            b
         };
-        let mut total = Rat::ZERO;
+        // Class bursts are positive, so the candidate's stage always
+        // carries attached burst.
+        debug_assert!(p.burst > 0);
+        let attached = |j: usize| j == a || self.load[j].attach_burst > 0;
+        let mut total = 0;
         let mut seg_start = k;
-        let mut rmin = self.serv_rate[k];
-        let mut t = self.serv_lat[k];
+        let mut mmax = st[k].m;
+        let mut t = st[k].lat;
+        #[allow(clippy::needless_range_loop)] // j also marks the sink boundary n
         for j in k + 1..=n {
-            if j == n || attach_b(j).is_positive() {
-                total = total + t + b_at(seg_start) / rmin;
+            if j == n || attached(j) {
+                total = add(add(total, t), mul(b_at(seg_start), mmax));
                 if j < n {
                     seg_start = j;
-                    rmin = self.serv_rate[j];
-                    t = self.serv_lat[j];
+                    mmax = st[j].m;
+                    t = st[j].lat;
                 }
             } else {
-                rmin = rmin.min(self.serv_rate[j]);
-                t += self.serv_lat[j];
+                mmax = mmax.max(st[j].m);
+                t = add(t, st[j].lat);
             }
         }
         total
@@ -363,26 +559,30 @@ impl PathState {
 
     /// Commit an admitted candidate: bump the attachment aggregates
     /// and adopt the suffix that the successful [`PathState::evaluate`]
-    /// of the same `(p, a)` just left in the scratch vectors. It ran
-    /// the committed recurrence with the candidate added over `a..n`,
-    /// and `Rat`s are canonical, so the copy equals a recompute.
-    fn commit(&mut self, class: ClassId, p: ClassParams, a: usize) {
+    /// of the same `(class, a)` just left in the scratch stages. It ran
+    /// the committed recurrence with the candidate added over `a..n`
+    /// on the same grid, so the copy equals a recompute.
+    fn commit(&mut self, class: ClassId, a: usize) {
         if self.counts[a].len() <= class.0 {
             self.counts[a].resize(class.0 + 1, 0);
         }
         self.counts[a][class.0] += 1;
-        self.attach_rate[a] += p.rate;
-        self.attach_burst[a] += p.burst;
-        self.slo_min[a] = Some(self.slo_min[a].map_or(p.deadline, |s| s.min(p.deadline)));
-        self.r_in[a..].copy_from_slice(&self.s_r[a..]);
-        self.b_in[a..].copy_from_slice(&self.s_b[a..]);
-        self.d_stage[a..].copy_from_slice(&self.s_d[a..]);
+        let p = self.grid.classes[class.0];
+        let l = &mut self.load[a];
+        l.attach_rate = add(l.attach_rate, p.rate);
+        l.attach_burst = add(l.attach_burst, p.burst);
+        l.slo_min = Some(l.slo_min.map_or(p.deadline, |s| s.min(p.deadline)));
+        for (l, s) in self.load[a..].iter_mut().zip(&self.scratch[a..]) {
+            l.r_in = s.r;
+            l.b_in = s.b;
+            l.d = s.d;
+        }
         #[cfg(debug_assertions)]
         {
-            let (r, b, d) = (self.r_in.clone(), self.b_in.clone(), self.d_stage.clone());
-            self.recompute_suffix(a);
+            let adopted = self.load.clone();
+            self.grid.recompute(&mut self.load, a).expect(OVERFLOW);
             debug_assert!(
-                r == self.r_in && b == self.b_in && d == self.d_stage,
+                adopted == self.load,
                 "commit adopted a suffix the recurrence does not produce"
             );
         }
@@ -390,12 +590,7 @@ impl PathState {
 
     /// Remove one resident flow of `(class, a)` and refresh the
     /// affected suffix.
-    fn depart(
-        &mut self,
-        classes: &[FlowClass],
-        class: ClassId,
-        a: usize,
-    ) -> Result<(), AdmitError> {
+    fn depart(&mut self, class: ClassId, a: usize) -> Result<(), AdmitError> {
         if a >= self.len() {
             return Err(AdmitError::BadAttach);
         }
@@ -403,30 +598,23 @@ impl PathState {
             Some(slot) if *slot > 0 => *slot -= 1,
             _ => return Err(AdmitError::NoSuchFlow),
         }
-        let c = &classes[class.0];
-        self.attach_rate[a] -= c.rate;
-        self.attach_burst[a] -= c.burst;
-        let mut min: Option<Rat> = None;
-        for (ci, &cnt) in self.counts[a].iter().enumerate() {
-            if cnt > 0 {
-                let d = classes[ci].deadline;
-                min = Some(min.map_or(d, |m| m.min(d)));
-            }
-        }
-        self.slo_min[a] = min;
-        self.recompute_suffix(a);
+        let c = self.grid.classes[class.0];
+        let l = &mut self.load[a];
+        l.attach_rate -= c.rate;
+        l.attach_burst -= c.burst;
+        l.slo_min = self.grid.slo_min(&self.counts[a]);
+        self.grid.recompute(&mut self.load, a).expect(OVERFLOW);
         Ok(())
     }
 
-    /// Carry resident-flow state over from a pre-reconfiguration path
-    /// with the same stage count, then recompute all bounds.
-    fn adopt_flows(&mut self, old: &PathState) {
+    /// Carry resident flows over from a pre-reconfiguration path with
+    /// the same stage count, rebuilding the load side on this path's
+    /// grid.
+    fn adopt_flows(&mut self, old: &PathState) -> Result<(), AdmitError> {
         debug_assert_eq!(self.len(), old.len());
         self.counts = old.counts.clone();
-        self.attach_rate = old.attach_rate.clone();
-        self.attach_burst = old.attach_burst.clone();
-        self.slo_min = old.slo_min.clone();
-        self.recompute_suffix(0);
+        self.load = self.grid.loads(&self.counts).ok_or(AdmitError::Overflow)?;
+        Ok(())
     }
 
     /// Total resident flows.
@@ -456,6 +644,16 @@ struct Tenant {
     remote: Option<PathState>,
 }
 
+impl Tenant {
+    fn paths(&self) -> impl Iterator<Item = &PathState> {
+        std::iter::once(&self.local).chain(self.remote.as_ref())
+    }
+
+    fn paths_mut(&mut self) -> impl Iterator<Item = &mut PathState> {
+        std::iter::once(&mut self.local).chain(self.remote.as_mut())
+    }
+}
+
 impl Default for AdmissionEngine {
     fn default() -> Self {
         AdmissionEngine::new()
@@ -473,10 +671,28 @@ impl AdmissionEngine {
         }
     }
 
-    /// Register a flow class for later requests.
+    /// Register a flow class for later requests. Every onboarded path
+    /// is re-gridded for it, resident flows carried over exactly; when
+    /// some path's grid would not fit `i128` the registration fails
+    /// with [`AdmitError::Overflow`] and the engine is left unchanged.
     pub fn register_class(&mut self, class: FlowClass) -> Result<ClassId, AdmitError> {
         class.validate()?;
         self.classes.push(class);
+        // Build every path's new grid before swapping any in.
+        let regrids: Result<Vec<_>, _> = self
+            .tenants
+            .iter()
+            .flat_map(Tenant::paths)
+            .map(|p| p.regrid(&self.classes))
+            .collect();
+        if regrids.is_err() {
+            self.classes.pop();
+        }
+        let paths = self.tenants.iter_mut().flat_map(Tenant::paths_mut);
+        for (p, (grid, load)) in paths.zip(regrids?) {
+            p.grid = grid;
+            p.load = load;
+        }
         Ok(ClassId(self.classes.len() - 1))
     }
 
@@ -487,14 +703,16 @@ impl AdmissionEngine {
 
     /// Onboard a tenant pipeline: one cached model build (shared
     /// prefixes across structurally equal tenants hit the memo), after
-    /// which decisions against this tenant are pure scalar updates.
-    /// `budget` is an optional per-stage backlog budget in bytes.
+    /// which decisions against this tenant are pure integer updates on
+    /// the path's grid ([`AdmitError::Overflow`] when the grid does
+    /// not fit `i128`). `budget` is an optional per-stage backlog
+    /// budget in bytes.
     pub fn add_tenant(
         &mut self,
         pipeline: Pipeline,
         budget: Option<Rat>,
     ) -> Result<TenantId, AdmitError> {
-        let local = PathState::onboard(pipeline, budget, &mut self.cache)?;
+        let local = PathState::onboard(pipeline, budget, &self.classes, &mut self.cache)?;
         self.tenants.push(Tenant {
             local,
             remote: None,
@@ -521,18 +739,17 @@ impl AdmissionEngine {
         {
             return Err(AdmitError::RemoteConfig);
         }
-        let path = PathState::onboard(pipeline, budget, &mut self.cache)?;
+        let path = PathState::onboard(pipeline, budget, &self.classes, &mut self.cache)?;
         self.tenants[tenant.0].remote = Some(path);
         Ok(())
     }
 
-    fn class_params(&self, class: ClassId) -> Result<ClassParams, AdmitError> {
-        let c = self.classes.get(class.0).ok_or(AdmitError::UnknownClass)?;
-        Ok(ClassParams {
-            rate: c.rate,
-            burst: c.burst,
-            deadline: c.deadline,
-        })
+    fn check_class(&self, class: ClassId) -> Result<(), AdmitError> {
+        if class.0 < self.classes.len() {
+            Ok(())
+        } else {
+            Err(AdmitError::UnknownClass)
+        }
     }
 
     /// Answer one admission request and commit its effect: a flow of
@@ -546,7 +763,7 @@ impl AdmissionEngine {
         class: ClassId,
         attach: usize,
     ) -> Result<Decision, AdmitError> {
-        let p = self.class_params(class)?;
+        self.check_class(class)?;
         let t = self
             .tenants
             .get_mut(tenant.0)
@@ -555,9 +772,9 @@ impl AdmissionEngine {
             return Err(AdmitError::BadAttach);
         }
         self.stats.decisions += 1;
-        match t.local.evaluate(p, attach) {
+        match t.local.evaluate(class, attach) {
             Ok(out) => {
-                t.local.commit(class, p, attach);
+                t.local.commit(class, attach);
                 self.stats.admitted += 1;
                 if out.used_tight {
                     self.stats.tight_evals += 1;
@@ -568,8 +785,8 @@ impl AdmissionEngine {
             }
             Err(reason) => {
                 if let Some(remote) = t.remote.as_mut() {
-                    if let Ok(out) = remote.evaluate(p, 0) {
-                        remote.commit(class, p, 0);
+                    if let Ok(out) = remote.evaluate(class, 0) {
+                        remote.commit(class, 0);
                         self.stats.admitted_remote += 1;
                         if out.used_tight {
                             self.stats.tight_evals += 1;
@@ -594,7 +811,7 @@ impl AdmissionEngine {
         class: ClassId,
         attach: usize,
     ) -> Result<Decision, AdmitError> {
-        let p = self.class_params(class)?;
+        self.check_class(class)?;
         let t = self
             .tenants
             .get_mut(tenant.0)
@@ -602,11 +819,11 @@ impl AdmissionEngine {
         if attach >= t.local.len() {
             return Err(AdmitError::BadAttach);
         }
-        match t.local.evaluate(p, attach) {
+        match t.local.evaluate(class, attach) {
             Ok(out) => Ok(Decision::Admit { bound: out.bound }),
             Err(reason) => {
                 if let Some(remote) = t.remote.as_mut() {
-                    if let Ok(out) = remote.evaluate(p, 0) {
+                    if let Ok(out) = remote.evaluate(class, 0) {
                         return Ok(Decision::AdmitRemote { bound: out.bound });
                     }
                 }
@@ -627,21 +844,18 @@ impl AdmissionEngine {
         attach: usize,
         placement: Placement,
     ) -> Result<(), AdmitError> {
-        if class.0 >= self.classes.len() {
-            return Err(AdmitError::UnknownClass);
-        }
-        let classes = &self.classes;
+        self.check_class(class)?;
         let t = self
             .tenants
             .get_mut(tenant.0)
             .ok_or(AdmitError::UnknownTenant)?;
         match placement {
-            Placement::Local => t.local.depart(classes, class, attach),
+            Placement::Local => t.local.depart(class, attach),
             Placement::Remote => t
                 .remote
                 .as_mut()
                 .ok_or(AdmitError::RemoteConfig)?
-                .depart(classes, class, 0),
+                .depart(class, 0),
         }
     }
 
@@ -653,7 +867,8 @@ impl AdmissionEngine {
     /// count). Resident flows are carried over and their bounds
     /// recomputed — the engine does not evict flows whose SLOs the new
     /// provisioning violates, but subsequent decisions hold them to
-    /// the recomputed bounds.
+    /// the recomputed bounds. A reprovisioning onboarding rejects,
+    /// [`AdmitError::Overflow`] included, leaves the tenant untouched.
     pub fn reconfigure_stage(
         &mut self,
         tenant: TenantId,
@@ -672,12 +887,11 @@ impl AdmissionEngine {
         };
         let mut pipeline = old_pipeline.clone();
         pipeline.nodes[stage] = node;
-        let mut fresh = PathState::onboard(pipeline, budget, &mut self.cache)?;
-        let evicted = self.cache.invalidate_suffix(&old_pipeline, stage);
+        let mut fresh = PathState::onboard(pipeline, budget, &self.classes, &mut self.cache)?;
         let t = self.tenants.get_mut(tenant.0).expect("checked above");
-        fresh.adopt_flows(&t.local);
+        fresh.adopt_flows(&t.local)?;
         t.local = fresh;
-        Ok(evicted)
+        Ok(self.cache.invalidate_suffix(&old_pipeline, stage))
     }
 
     /// The placement pre-filter's rate cap for one attachment stage of
@@ -697,9 +911,9 @@ impl AdmissionEngine {
             .get(tenant.0)
             .ok_or(AdmitError::UnknownTenant)?;
         t.local
-            .caps
+            .svc
             .get(attach)
-            .copied()
+            .map(|s| s.cap)
             .ok_or(AdmitError::BadAttach)
     }
 
@@ -1032,6 +1246,158 @@ mod tests {
         // old one rejected.
         assert_eq!(e.resident(t).unwrap(), (1, 0));
         assert!(e.decide(t, slow, 0).unwrap().is_admitted());
+    }
+
+    /// The certified bound, or the rejection, for one class at stage 0
+    /// of `two_stage()`, from the engine and from the oracle.
+    fn decide_both(c: FlowClass) -> (Decision, Result<Rat, RejectReason>) {
+        let mut e = AdmissionEngine::new();
+        let t = e.add_tenant(two_stage(), None).unwrap();
+        let id = e.register_class(c.clone()).unwrap();
+        let want = oracle::decide_full(&two_stage(), None, e.classes(), &[], &c, 0);
+        (e.decide(t, id, 0).unwrap(), want)
+    }
+
+    #[test]
+    fn deadlines_within_one_grid_step_of_a_bound_compare_exactly() {
+        // The grid of `two_stage()` for an integer class: dr = 1,
+        // dt = 15, db = 15, dd = db·lcm(10, 6) = 450; the cheap bound
+        // 74/15 and the tight bound 19/5 are grid points.
+        let mut e = AdmissionEngine::new();
+        let t = e.add_tenant(two_stage(), None).unwrap();
+        e.register_class(class(1, 2, Rat::int(10))).unwrap();
+        let dd = e.tenants[t.0].local.grid.dd;
+        assert_eq!(dd, 450);
+        // Half a grid step: deadlines strictly between grid points,
+        // where only a floor gives the exact answer.
+        let eps = rat(1, 2 * dd);
+        let (cheap, tight) = (rat(74, 15), rat(19, 5));
+        for (deadline, want) in [
+            (cheap + eps, Decision::Admit { bound: cheap }),
+            (cheap, Decision::Admit { bound: cheap }),
+            // The cheap bound misses by half a step; the tight one
+            // certifies.
+            (cheap - eps, Decision::Admit { bound: tight }),
+            (tight + eps, Decision::Admit { bound: tight }),
+            (tight, Decision::Admit { bound: tight }),
+            (
+                tight - eps,
+                Decision::Reject {
+                    reason: RejectReason::DeadlineExceeded,
+                },
+            ),
+        ] {
+            let (got, oracle) = decide_both(class(1, 2, deadline));
+            assert_eq!(got, want, "deadline {deadline}");
+            assert_eq!(oracle, want.bound().ok_or(RejectReason::DeadlineExceeded));
+        }
+    }
+
+    #[test]
+    fn a_resident_deadline_within_one_grid_step_protects_its_flow() {
+        // A flow resident at stage 1 whose deadline sits half a grid
+        // step below the bound a stage-0 candidate would push it to
+        // must reject that candidate; at the bound or half a step
+        // above, the candidate is admitted. The limit is the last
+        // stage's delay with both flows, which the oracle reports as
+        // the bound of a stage-1 arrival behind a stage-0 resident.
+        let open = class(1, 2, Rat::int(100));
+        let limit = oracle::decide_full(
+            &two_stage(),
+            None,
+            std::slice::from_ref(&open),
+            &[(0, ClassId(0))],
+            &open,
+            1,
+        )
+        .unwrap();
+        assert_eq!(limit, rat(52, 15));
+        let eps = rat(1, 2 * 450);
+        for (slack, admitted) in [(eps, true), (Rat::ZERO, true), (-eps, false)] {
+            let mut e = AdmissionEngine::new();
+            let t = e.add_tenant(two_stage(), None).unwrap();
+            let resident = e.register_class(class(1, 2, limit + slack)).unwrap();
+            let cand = e.register_class(open.clone()).unwrap();
+            assert_eq!(e.tenants[t.0].local.grid.dd, 450);
+            assert!(e.decide(t, resident, 1).unwrap().is_admitted());
+            let got = e.decide(t, cand, 0).unwrap();
+            assert_eq!(got.is_admitted(), admitted, "slack {slack}: {got:?}");
+            let want =
+                oracle::decide_full(&two_stage(), None, e.classes(), &[(1, resident)], &open, 0);
+            assert_eq!(got.bound().ok_or(RejectReason::DeadlineExceeded), want);
+        }
+    }
+
+    /// One stage per prime rate (B/s), unit jobs and zero latency:
+    /// `T_j = 1/R_j`, so for k primes near 2^31 both `dt` and the lcm
+    /// of the rate numerators are near 2^(31k), and `dd` near 2^(62k).
+    fn coprime_pipeline(primes: &[i64]) -> Pipeline {
+        Pipeline::new(
+            "coprime",
+            Source {
+                rate: Rat::ONE,
+                burst: Rat::ONE,
+            },
+            primes
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| node(&format!("s{i}"), p, 1))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn a_grid_that_does_not_fit_i128_is_an_overflow_error() {
+        // Four primes: dd near 2^248.
+        let primes = [2147483647, 2147483629, 2147483587, 2147483579];
+        let mut e = AdmissionEngine::new();
+        e.register_class(class(1, 1, Rat::ONE)).unwrap();
+        assert_eq!(
+            e.add_tenant(coprime_pipeline(&primes), None),
+            Err(AdmitError::Overflow)
+        );
+        let t = e.add_tenant(two_stage(), None).unwrap();
+        assert_eq!(
+            e.set_remote(t, coprime_pipeline(&primes), None),
+            Err(AdmitError::Overflow)
+        );
+        assert_eq!(
+            e.reconfigure_stage(t, 1, node("wide", 2147483647, 1)),
+            Ok(1),
+            "one wide stage still fits"
+        );
+        assert_eq!(
+            AdmitError::Overflow.to_string(),
+            "admission grid does not fit i128"
+        );
+    }
+
+    #[test]
+    fn a_registration_that_overflows_leaves_the_engine_unchanged() {
+        // Two stages at primes near 2^31: dd ≈ 2^124 for integer
+        // classes, so a 4 s deadline still fits. A class whose burst
+        // brings a new denominator of 1021 pushes dd past i128.
+        let mut e = AdmissionEngine::new();
+        let c = e.register_class(class(1, 1, Rat::int(4))).unwrap();
+        let small = e.add_tenant(two_stage(), None).unwrap();
+        let wide = e
+            .add_tenant(coprime_pipeline(&[2147483647, 2147483629]), None)
+            .unwrap();
+        assert!(e.decide(small, c, 0).unwrap().is_admitted());
+        let before = (e.peek(small, c, 1).unwrap(), e.peek(wide, c, 0).unwrap());
+        let dd = e.tenants[wide.0].local.grid.dd;
+        let late = FlowClass {
+            burst: rat(1021 * 3 + 1, 1021),
+            ..class(1, 1, Rat::int(4))
+        };
+        assert_eq!(e.register_class(late), Err(AdmitError::Overflow));
+        assert_eq!(e.classes().len(), 1);
+        assert_eq!(e.tenants[wide.0].local.grid.dd, dd);
+        assert_eq!(e.tenants[small.0].local.grid.classes.len(), 1);
+        assert_eq!(
+            (e.peek(small, c, 1).unwrap(), e.peek(wide, c, 0).unwrap()),
+            before
+        );
     }
 
     #[test]

@@ -29,13 +29,20 @@
 //!   edited stage are evicted by
 //!   [`ModelCache::invalidate_suffix`](nc_core::pipeline::ModelCache::invalidate_suffix)
 //!   on reconfiguration.
-//! * The **steady-state decision path is allocation-free**: every
-//!   bound on the hot path is a leaky-bucket-vs-rate-latency closed
-//!   form (`d = T + b/R`, `x = b + r·T`, `α ⊘ β` burst inflation
-//!   `b → b + r·T`) evaluated in exact rational arithmetic over
-//!   preallocated scratch arrays. The curves backing those scalars
-//!   stay interned in the shared cache; no curve is built, hashed, or
-//!   cloned per decision.
+//! * The **steady-state decision path is allocation-free integer
+//!   arithmetic**: every bound on the hot path is a
+//!   leaky-bucket-vs-rate-latency closed form (`d = T + b/R`,
+//!   `x = b + r·T`, `α ⊘ β` burst inflation `b → b + r·T`), evaluated
+//!   exactly on per-path integer grids (rates in `1/dr`, bursts in
+//!   `1/db`, delays in `1/dd`, fixed by the frozen service scalars and
+//!   the registered classes) with checked `i128` add, multiply and
+//!   compare over preallocated scratch. Thresholds between grid points
+//!   compare through their floors, and a certified bound leaves the
+//!   engine as one reduced `Rat` (`DESIGN.md` §13). A grid that does
+//!   not fit `i128` is reported as [`AdmitError::Overflow`] when a
+//!   tenant, remote path, reconfiguration or class is added. The curves
+//!   backing the scalars stay interned in the shared cache; no curve is
+//!   built, hashed, or cloned per decision.
 //!
 //! Two sound deadline bounds are combined, following Bouillard's
 //! accuracy-vs-tractability analysis (arXiv:2010.09263): a **cheap**
@@ -232,6 +239,13 @@ pub enum AdmitError {
     /// [`AdmissionEngine::set_remote`] on a tenant that already has a
     /// remote pipeline, or a remote-path operation without one.
     RemoteConfig,
+    /// A path's integer grid does not fit `i128`: the lcm of its stage
+    /// rates', latencies' and the registered classes' denominators (and
+    /// of its stage-rate numerators) is too large for exact admission
+    /// (`DESIGN.md` §13). Returned by onboarding, reconfiguration and
+    /// class registration, each of which then leaves the engine as it
+    /// was.
+    Overflow,
 }
 
 impl fmt::Display for AdmitError {
@@ -253,6 +267,7 @@ impl fmt::Display for AdmitError {
             AdmitError::BadAttach => write!(f, "attachment stage out of range"),
             AdmitError::NoSuchFlow => write!(f, "no resident flow with that identity"),
             AdmitError::RemoteConfig => write!(f, "remote pipeline configuration conflict"),
+            AdmitError::Overflow => write!(f, "admission grid does not fit i128"),
         }
     }
 }

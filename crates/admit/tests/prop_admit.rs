@@ -9,6 +9,12 @@
 //!   admitted after shrinking either parameter, against the same
 //!   engine state. The service side is frozen at onboarding, so the
 //!   decision is monotone in the arrival envelope (DESIGN.md §13).
+//! * **The grid where it can go wrong** — oracle equivalence again, on
+//!   stage rates that are not integers (so the rate grid `dr` exceeds
+//!   1 and each `m_j` carries the rate's denominator), across a class
+//!   registered while flows are resident, and across a stage
+//!   reconfigured while flows are resident; both re-grid every path
+//!   and rebuild its aggregates from the resident counts.
 
 use nc_admit::{oracle, AdmissionEngine, ClassId, Decision, FlowClass, Placement};
 use nc_core::num::{rat, Rat};
@@ -267,5 +273,217 @@ proptest! {
                 small_decision
             );
         }
+    }
+}
+
+/// A stage with rate `rate_q/3` B/s.
+fn node_thirds(i: usize, rate_q: i64, job: i64, latency_q: i64) -> Node {
+    Node::new(
+        format!("s{i}"),
+        NodeKind::Compute,
+        StageRates::fixed(rat(rate_q as i128, 3)),
+        rat(latency_q as i128, 4),
+        Rat::int(job),
+        Rat::int(job),
+    )
+}
+
+/// Strategy: as [`arb_pipeline`], with stage rates in thirds of a
+/// byte per second (4 to 40 B/s).
+fn arb_pipeline_thirds() -> impl Strategy<Value = Pipeline> {
+    let stage = (12i64..=120, 1i64..=8, 0i64..=4);
+    (
+        proptest::collection::vec(stage, 1..=4),
+        1i64..=10,
+        0i64..=16,
+    )
+        .prop_map(|(stages, src_rate, src_burst)| {
+            let nodes = stages
+                .into_iter()
+                .enumerate()
+                .map(|(i, (rate_q, job, lat))| node_thirds(i, rate_q, job, lat))
+                .collect();
+            Pipeline::new(
+                "p",
+                Source {
+                    rate: Rat::int(src_rate),
+                    burst: Rat::int(src_burst),
+                },
+                nodes,
+            )
+        })
+}
+
+/// One step of a script that may also reshape the engine while flows
+/// are resident.
+#[derive(Clone, Debug)]
+enum Step {
+    Req(Req),
+    /// Register a class with rate `rate_q/3`, burst `burst_q/5` and
+    /// deadline `dl_q/7`: denominators no earlier class has, so every
+    /// path's grid changes.
+    Register {
+        rate_q: i64,
+        burst_q: i64,
+        dl_q: i64,
+    },
+    /// Raise a local stage's rate by `extra_q/7` B/s. Raising it keeps
+    /// every resident flow rate-feasible, which the oracle needs.
+    Upgrade {
+        stage: usize,
+        extra_q: i64,
+    },
+}
+
+fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+    arb_requests().prop_map(|reqs| reqs.into_iter().map(Step::Req).collect())
+}
+
+/// `before`, then `mid`, then `after`.
+fn script(before: Vec<Step>, mid: Step, after: Vec<Step>) -> Vec<Step> {
+    before
+        .into_iter()
+        .chain(std::iter::once(mid))
+        .chain(after)
+        .collect()
+}
+
+/// Run `steps` on a fresh engine and assert that every decision
+/// (placement, reason and exact bound) equals the oracle's on the
+/// shadow pipeline, classes and resident sets.
+fn check_against_oracle(
+    mut local: Pipeline,
+    remote: Option<Pipeline>,
+    budget: Option<Rat>,
+    mut classes: Vec<FlowClass>,
+    steps: Vec<Step>,
+) {
+    let mut engine = AdmissionEngine::new();
+    let tenant = engine.add_tenant(local.clone(), budget).unwrap();
+    if let Some(r) = &remote {
+        engine.set_remote(tenant, r.clone(), None).unwrap();
+    }
+    let mut ids: Vec<ClassId> = classes
+        .iter()
+        .map(|c| engine.register_class(c.clone()).unwrap())
+        .collect();
+    let mut local_res: Vec<(usize, ClassId)> = Vec::new();
+    let mut remote_res: Vec<(usize, ClassId)> = Vec::new();
+    let mut live: Vec<(usize, ClassId, Placement)> = Vec::new();
+    for step in steps {
+        match step {
+            Step::Req(Req::Decide { class, attach }) => {
+                let class = ids[class % ids.len()];
+                let attach = attach % local.nodes.len();
+                let got = engine.decide(tenant, class, attach).unwrap();
+                let want = oracle_decide(
+                    &local,
+                    budget,
+                    remote.as_ref(),
+                    &classes,
+                    &local_res,
+                    &remote_res,
+                    &classes[class.0],
+                    attach,
+                );
+                assert_eq!(got, want);
+                match got.placement() {
+                    Some(Placement::Local) => local_res.push((attach, class)),
+                    Some(Placement::Remote) => remote_res.push((0, class)),
+                    None => continue,
+                }
+                live.push((attach, class, got.placement().unwrap()));
+            }
+            Step::Req(Req::Depart { index }) => {
+                if live.is_empty() {
+                    continue;
+                }
+                let (attach, class, placement) = live.remove(index % live.len());
+                engine.depart(tenant, class, attach, placement).unwrap();
+                let (shadow, key) = match placement {
+                    Placement::Local => (&mut local_res, attach),
+                    Placement::Remote => (&mut remote_res, 0),
+                };
+                let pos = shadow.iter().position(|&e| e == (key, class)).unwrap();
+                shadow.remove(pos);
+            }
+            Step::Register {
+                rate_q,
+                burst_q,
+                dl_q,
+            } => {
+                let c = FlowClass {
+                    name: format!("late{}", classes.len()),
+                    rate: rat(rate_q as i128, 3),
+                    burst: rat(burst_q as i128, 5),
+                    block: rat(1, 5),
+                    deadline: rat(dl_q as i128, 7),
+                };
+                ids.push(engine.register_class(c.clone()).unwrap());
+                classes.push(c);
+            }
+            Step::Upgrade { stage, extra_q } => {
+                let stage = stage % local.nodes.len();
+                let mut node = local.nodes[stage].clone();
+                node.rates = StageRates::fixed(node.rates.min + rat(extra_q as i128, 7));
+                engine
+                    .reconfigure_stage(tenant, stage, node.clone())
+                    .unwrap();
+                local.nodes[stage] = node;
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Oracle equivalence on stage rates in thirds, local and remote.
+    #[test]
+    fn fractional_stage_rates_match_full_recomputation(
+        local in arb_pipeline_thirds(),
+        remote in opt(arb_pipeline_thirds()),
+        budget_extra in opt(0i64..=32),
+        classes in arb_classes(),
+        steps in arb_steps(),
+    ) {
+        let budget = budget_extra.map(|x| local.source.burst + Rat::int(x));
+        check_against_oracle(local, remote, budget, classes, steps);
+    }
+
+    /// Oracle equivalence across a class registered while flows are
+    /// resident on both paths.
+    #[test]
+    fn a_class_registered_with_flows_resident_matches_full_recomputation(
+        local in arb_pipeline(),
+        remote in opt(arb_pipeline()),
+        budget_extra in opt(0i64..=32),
+        classes in arb_classes(),
+        before in arb_steps(),
+        late in (1i64..=12, 1i64..=20, 1i64..=112),
+        after in arb_steps(),
+    ) {
+        let budget = budget_extra.map(|x| local.source.burst + Rat::int(x));
+        let (rate_q, burst_q, dl_q) = late;
+        let register = Step::Register { rate_q, burst_q, dl_q };
+        check_against_oracle(local, remote, budget, classes, script(before, register, after));
+    }
+
+    /// Oracle equivalence across a stage reconfiguration made while
+    /// flows are resident.
+    #[test]
+    fn a_reconfiguration_with_flows_resident_matches_full_recomputation(
+        local in arb_pipeline(),
+        remote in opt(arb_pipeline()),
+        budget_extra in opt(0i64..=32),
+        classes in arb_classes(),
+        before in arb_steps(),
+        upgrade in (0usize..4, 1i64..=20),
+        after in arb_steps(),
+    ) {
+        let budget = budget_extra.map(|x| local.source.burst + Rat::int(x));
+        let (stage, extra_q) = upgrade;
+        let upgrade = Step::Upgrade { stage, extra_q };
+        check_against_oracle(local, remote, budget, classes, script(before, upgrade, after));
     }
 }

@@ -9,12 +9,15 @@
 //! byte-identical for every shard count — `check.sh` asserts this.
 //!
 //! `ADMIT_FLEET=t` / `ADMIT_REQS=n` size the trace (default 32×250).
+//! The CSV is streamed to the file row by row, not echoed.
 
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::time::Instant;
 
 use nc_serve::fleet;
 use nc_serve::proto::Outcome;
-use nc_serve::replay::{replay_service, to_csv, Batching};
+use nc_serve::replay::{replay_service, write_csv, Batching};
 use nc_sweep::env_size;
 
 fn main() {
@@ -27,7 +30,15 @@ fn main() {
     let batching = Batching::Batched { quantum: 256 };
     let rows = replay_service(&cfg, shards, batching, &[], false).decisions;
     let dt = t0.elapsed();
-    nc_bench::emit("admission.csv", &to_csv(&rows));
+    let path = nc_bench::results_dir().join("admission.csv");
+    File::create(&path)
+        .and_then(|file| {
+            let mut out = BufWriter::new(file);
+            write_csv(&mut out, &rows)?;
+            out.flush()
+        })
+        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("[written {}]", path.display());
 
     let (mut local, mut remote, mut rejected) = (0usize, 0usize, 0usize);
     for r in &rows {

@@ -835,12 +835,21 @@ fn sweep(b: &mut Bench) {
 
 const WARM_PAIR: &str = "admit+depart pair, warm engine";
 
-/// The admission engine (DESIGN §13): the warm incremental decision
-/// path, full in-proc trace replays (4 tenants, and the benchmark's
-/// 1024) with trace generation and onboarding amortized in, and the
-/// cold-start oracle (full model rebuild + general curve algebra per
-/// decision) it is measured against.
+/// The admission engine (DESIGN §13): onboarding the benchmark's
+/// fleet, the warm incremental decision path, full in-proc trace
+/// replays (4 tenants, and the benchmark's 1024) with trace generation
+/// and onboarding amortized in, and the cold-start oracle (full model
+/// rebuild + general curve algebra per decision) it is measured
+/// against.
 fn admission(b: &mut Bench) {
+    // Every `serve-saturate` server start pays this (its `setup_s`):
+    // model builds through the shared cache, and each path's grid.
+    let fleet_cfg = fleet::request_config(7, 1024, 250);
+    let all: Vec<usize> = (0..fleet_cfg.tenants).collect();
+    b.time("onboard the benchmark fleet, 1024 tenants", "", || {
+        fleet::build_shard(&fleet_cfg, &all)
+    });
+
     let cfg = fleet::request_config(42, 1, 200);
     let mut shard = fleet::build_shard(&cfg, &[0]);
     let (tid, class) = (shard.tenants[0].1, shard.classes[0]);

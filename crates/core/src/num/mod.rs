@@ -3,5 +3,5 @@
 mod rat;
 mod value;
 
-pub use rat::{rat, Rat};
+pub use rat::{lcm, rat, Rat};
 pub use value::Value;

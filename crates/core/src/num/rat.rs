@@ -96,6 +96,25 @@ fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
     }
 }
 
+/// Least common multiple of two positive integers, or `None` when it
+/// does not fit `i128`. Runs on the same binary gcd as [`Rat`]'s
+/// reduction.
+///
+/// # Panics
+/// Panics unless both operands are positive.
+pub fn lcm(a: i128, b: i128) -> Option<i128> {
+    assert!(a > 0 && b > 0, "lcm: operands must be positive");
+    // Folds over denominators meet 1 most often, where the binary gcd
+    // would spend one turn per bit of the other operand.
+    if b == 1 || a == b {
+        return Some(a);
+    }
+    if a == 1 {
+        return Some(b);
+    }
+    (a / gcd(a, b)).checked_mul(b)
+}
+
 /// `x / g` for a positive exact divisor `g` of `x`, both in `i64`
 /// range: an `i64` division, skipped when `g == 1`.
 #[inline]
@@ -829,6 +848,19 @@ mod tests {
                 assert_eq!(gcd_u128(b, a), gcd_ref(b, a), "gcd_u128({b}, {a})");
             }
         }
+    }
+
+    #[test]
+    fn lcm_is_exact_and_reports_overflow() {
+        assert_eq!(lcm(4, 6), Some(12));
+        assert_eq!(lcm(1, 1), Some(1));
+        assert_eq!(lcm(7, 7), Some(7));
+        let p = 2_147_483_647; // 2^31 - 1, prime
+        let q = 2_147_483_629; // prime
+        assert_eq!(lcm(p, q), Some(p * q));
+        assert_eq!(lcm(p * q, q), Some(p * q));
+        assert_eq!(lcm(i128::MAX, 2), None);
+        assert_eq!(lcm(1 << 100, 1 << 120), Some(1 << 120));
     }
 
     #[test]

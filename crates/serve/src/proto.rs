@@ -20,6 +20,8 @@
 //! the networked service produce their CSV through this one type — the
 //! wire representation and the artifact cannot drift.
 
+use std::io;
+
 use nc_admit::{Decision, RejectReason};
 use nc_core::num::Rat;
 
@@ -297,12 +299,18 @@ impl DecisionFrame {
     /// One CSV line (no trailing newline). Bounds are exact rationals,
     /// so the text is identical on every host.
     pub fn to_csv(&self) -> String {
-        let bound = match self.bound {
-            Some(b) => format!("{}/{}", b.numer(), b.denom()),
-            None => String::new(),
-        };
-        format!(
-            "{},{:.9},{},{},{},{},{},{}",
+        let mut row = Vec::new();
+        self.write_csv(&mut row)
+            .expect("writing to a Vec cannot fail");
+        String::from_utf8(row).expect("CSV rows are ASCII")
+    }
+
+    /// Write [`DecisionFrame::to_csv`]'s line to `out`, with no
+    /// intermediate `String`.
+    pub(crate) fn write_csv(&self, out: &mut impl io::Write) -> io::Result<()> {
+        write!(
+            out,
+            "{},{:.9},{},{},{},{},{},",
             self.seq,
             self.time_s,
             self.tenant,
@@ -310,8 +318,11 @@ impl DecisionFrame {
             self.attach,
             self.event.label(),
             self.outcome.label(),
-            bound
-        )
+        )?;
+        match self.bound {
+            Some(b) => write!(out, "{}/{}", b.numer(), b.denom()),
+            None => Ok(()),
+        }
     }
 
     /// The CSV header line.

@@ -17,6 +17,7 @@
 //! [`drive`] (the feed/drain loop against a prebuilt pool) for the
 //! throughput and batched-vs-per-request framing rows.
 
+use std::io;
 use std::sync::Arc;
 
 use nc_workloads::requests::{generate, ReconfigEvent, ReqKind, Request, RequestConfig};
@@ -62,16 +63,24 @@ pub struct ServiceReplay {
     pub reconfigs: Vec<ReconfiguredFrame>,
 }
 
-/// Render decision frames (already sorted by `seq`) as the
-/// `results/admission.csv` artifact body.
-pub fn to_csv(decisions: &[DecisionFrame]) -> String {
-    let mut out = String::from(DecisionFrame::csv_header());
-    out.push('\n');
+/// Write decision frames (already sorted by `seq`) to `out` as the
+/// `results/admission.csv` artifact body, row by row.
+pub fn write_csv(out: &mut impl io::Write, decisions: &[DecisionFrame]) -> io::Result<()> {
+    writeln!(out, "{}", DecisionFrame::csv_header())?;
     for d in decisions {
-        out.push_str(&d.to_csv());
-        out.push('\n');
+        d.write_csv(out)?;
+        out.write_all(b"\n")?;
     }
-    out
+    Ok(())
+}
+
+/// Render decision frames (already sorted by `seq`) as the
+/// `results/admission.csv` artifact body ([`write_csv`] into a
+/// `String`).
+pub fn to_csv(decisions: &[DecisionFrame]) -> String {
+    let mut out = Vec::new();
+    write_csv(&mut out, decisions).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("CSV rows are ASCII")
 }
 
 fn req_frame(r: &Request) -> ReqFrame {

@@ -25,11 +25,14 @@ echo "==> tier-1: cargo build --release && cargo test -q --workspace"
 cargo build --release
 cargo test -q --workspace
 
-echo "==> release-profile rational arithmetic: nc-core num unit tests + prop_num"
+echo "==> release-profile exact arithmetic: nc-core num tests + prop_num, nc-admit's suites"
 # The service ships the release build, where i128 arithmetic wraps
 # where the debug build panics; the tier-1 lane above tests only debug.
+# The admission engine's integer grid runs checked ops on its hot path
+# and compiles its debug checks out here, so its suites run in both.
 cargo test --release -q -p nc-core --lib num::
 cargo test --release -q -p nc-core --test prop_num
+cargo test --release -q -p nc-admit
 
 echo "==> perfbench builds against the public API, unedited"
 # perfbench/ is a package of its own that only benchmark changes edit;
